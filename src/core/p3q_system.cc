@@ -288,7 +288,7 @@ void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
   for (UserId u = 0; u < num_users; ++u) {
     body.U8(network_.IsOnline(u) ? 1 : 0);
   }
-  WriteMetrics(&body, network_.metrics());
+  body.Put(network_.metrics());
   WriteRngState(&body, rng_);
   body.Sentinel();
 
@@ -377,7 +377,7 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
   for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
     network_.SetOnline(u, in->U8() != 0);
   }
-  network_.metrics() = ReadMetrics(in);
+  in->Get(&network_.metrics());
   ReadRngState(in, &rng_);
   in->Sentinel("system header");
 

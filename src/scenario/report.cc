@@ -124,13 +124,14 @@ void AppendQueryLatencyJson(const QueryLatencyStats& q,
     *out << ", \"open_at_end\": " << open_at_end;
   }
   *out << ", ";
-  AppendPercentileJson("p50", q.CompletionPercentile(0.50), out);
+  AppendPercentileJson("p50", q.completion_histogram.Percentile(0.50), out);
   *out << ", ";
-  AppendPercentileJson("p95", q.CompletionPercentile(0.95), out);
+  AppendPercentileJson("p95", q.completion_histogram.Percentile(0.95), out);
   *out << ", ";
-  AppendPercentileJson("p99", q.CompletionPercentile(0.99), out);
+  AppendPercentileJson("p99", q.completion_histogram.Percentile(0.99), out);
   *out << ", ";
-  AppendPercentileJson("first_result_p50", q.FirstResultPercentile(0.50), out);
+  AppendPercentileJson("first_result_p50",
+                       q.first_result_histogram.Percentile(0.50), out);
   if (totals) {
     std::size_t last = 0;
     for (std::size_t i = 0; i < kQueryLatencyBuckets; ++i) {
@@ -155,9 +156,9 @@ void AppendDeliveryJson(const DeliveryStats& delivery,
        << ", \"delivered\": " << delivery.delivered
        << ", \"dropped\": " << delivery.dropped
        << ", \"in_flight_at_end\": " << in_flight_at_end << ", ";
-  AppendPercentileJson("lag_p50", delivery.LagPercentileBound(0.50), out);
+  AppendPercentileJson("lag_p50", delivery.lag_histogram.Percentile(0.50), out);
   *out << ", ";
-  AppendPercentileJson("lag_p95", delivery.LagPercentileBound(0.95), out);
+  AppendPercentileJson("lag_p95", delivery.lag_histogram.Percentile(0.95), out);
   if (totals) {
     *out << ", \"stale_dropped\": " << delivery.stale_dropped
          << ", \"max_in_flight\": " << delivery.max_in_flight;
@@ -410,20 +411,22 @@ std::string ScenarioReportToCsv(const ScenarioReport& report,
       out << "," << report.latency.Name() << "," << delivery.enqueued << ","
           << delivery.delivered << "," << delivery.dropped << ","
           << delivery.stale_dropped << "," << in_flight_at_end << ","
-          << Num(delivery.LagPercentile(0.50), 2) << ","
-          << Num(delivery.LagPercentile(0.95), 2);
+          << Num(delivery.lag_histogram.Percentile(0.50).value, 2) << ","
+          << Num(delivery.lag_histogram.Percentile(0.95).value, 2);
     }
     if (report.open_loop) {
-      const PercentileValue p99 = query_latency.CompletionPercentile(0.99);
+      const auto& completion = query_latency.completion_histogram;
+      const PercentileValue p99 = completion.Percentile(0.99);
       out << "," << (arrivals.empty() ? "none" : arrivals) << ","
           << query_latency.issued << "," << query_latency.completed << ","
           << query_latency.completed_within_slo << ","
           << query_latency.first_results << "," << query_latency.abandoned
           << "," << open_queries_at_end << ","
-          << Num(query_latency.CompletionPercentile(0.50).value, 2) << ","
-          << Num(query_latency.CompletionPercentile(0.95).value, 2) << ","
+          << Num(completion.Percentile(0.50).value, 2) << ","
+          << Num(completion.Percentile(0.95).value, 2) << ","
           << Num(p99.value, 2) << "," << (p99.lower_bound ? 1 : 0) << ","
-          << Num(query_latency.FirstResultPercentile(0.50).value, 2);
+          << Num(query_latency.first_result_histogram.Percentile(0.50).value,
+                 2);
     }
     if (include_timing) {
       out << "," << timing.threads << "," << Num(timing.wall_seconds) << ","

@@ -28,7 +28,115 @@ namespace {
 struct OpenQuery {
   std::uint64_t id = 0;
   std::vector<ItemId> reference;
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.id...);
+    f(s.reference...);
+  }
 };
+
+/// A traced run's tracer position — event numbering and per-kind counts —
+/// plus the counts the current phase started from.
+struct TraceCursor {
+  std::uint64_t next_seq = 0;
+  Tracer::KindCounts counts{};
+  Tracer::KindCounts phase_start{};
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.next_seq...);
+    f(s.counts...);
+    f(s.phase_start...);
+  }
+};
+
+/// Everything the runner carries from one timeline cycle to the next, in
+/// the order a checkpoint's runner section stores it. A straight run starts
+/// from a fresh state; a resumed run reads it from the snapshot — the phase
+/// loop cannot tell the two apart. A new piece of runner state is declared
+/// here and listed once in Fields, which both the save and the load walk.
+struct RunState {
+  /// Closed phases; the current phase's index is phases.size().
+  std::vector<PhaseReport> phases;
+  std::uint64_t cycle = 0;          ///< cycles the current phase has run
+  std::uint64_t serving_cycle = 0;  ///< global timeline cycle, across phases
+  /// Workload randomness (querier choice, duty sampling, update batches).
+  Rng workload_rng;
+  /// Open-loop querier choice: its own stream, so enabling the serving
+  /// harness never perturbs the closed-loop workload stream (arrival
+  /// counts have yet another, arrival_rng).
+  Rng serving_rng;
+  /// Created at the first serving phase, which also fixes the run's SLO.
+  std::optional<ServingTracker> tracker;
+  bool open_loop = false;
+  std::uint64_t slo_cycles = 0;
+  QueryLatencyStats serving_stats;
+
+  // The current phase: its arrival draws, partial counts and open queries,
+  // and the counters its report is a delta of.
+  std::optional<Rng> arrival_rng;  ///< set while the phase serves arrivals
+  std::uint64_t departures = 0;
+  std::uint64_t rejoins = 0;
+  int queries_issued = 0;
+  Metrics traffic_before;
+  DeliveryStats delivery_before;
+  QueryLatencyStats serving_before;
+  std::optional<TraceCursor> trace;  ///< set in traced runs
+  double online_cycle_sum = 0;  ///< Σ over cycles of online users (work rate)
+  std::vector<OpenQuery> open;
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.phases...);
+    f(s.cycle...);
+    f(s.serving_cycle...);
+    f(s.workload_rng...);
+    f(s.serving_rng...);
+    f(s.tracker...);
+    f(s.open_loop...);
+    f(s.slo_cycles...);
+    f(s.serving_stats...);
+    f(s.arrival_rng...);
+    f(s.departures...);
+    f(s.rejoins...);
+    f(s.queries_issued...);
+    f(s.traffic_before...);
+    f(s.delivery_before...);
+    f(s.serving_before...);
+    f(s.trace...);
+    f(s.online_cycle_sum...);
+    f(s.open...);
+  }
+};
+
+}  // namespace
+
+template <>
+struct CheckpointTraits<LatencyKind> {
+  static constexpr LatencyKind kLast = LatencyKind::kLossy;
+  static constexpr const char* kNoun = "latency model kind";
+};
+template <>
+struct CheckpointTraits<ArrivalKind> {
+  static constexpr ArrivalKind kLast = ArrivalKind::kTrace;
+  static constexpr const char* kNoun = "arrival-process kind";
+};
+template <>
+struct CheckpointTraits<SimilarityMetric> {
+  static constexpr SimilarityMetric kLast = SimilarityMetric::kOverlap;
+  static constexpr const char* kNoun = "similarity metric";
+};
+template <>
+struct CheckpointTraits<PhaseReport> {
+  static constexpr std::size_t kMinBytes = 64;
+};
+template <>
+struct CheckpointTraits<OpenQuery> {
+  static constexpr std::size_t kMinBytes = 16;
+};
+
+namespace {
 
 /// Scales a phase-relative cycle offset so events keep their position when
 /// the whole timeline is stretched or compressed.
@@ -56,25 +164,26 @@ double PeakRssMb() {
 }
 
 /// Issues one query from a uniformly random online user with a non-empty
-/// profile; returns false when no attempt produced a usable query. Queries
-/// draw from the user's ORIGINAL (version-0) actions — the paper generates
-/// the whole query workload from the initial trace — which the store keeps
-/// reachable across updates (RetainOriginals).
-bool TryIssueQuery(P3QSystem* system, const std::vector<UserId>& online,
-                   Rng* workload_rng, std::vector<OpenQuery>* open) {
-  if (online.empty()) return false;
+/// profile and returns it with its issue-time centralized reference;
+/// nothing when no attempt produced a usable query. Queries draw from the
+/// user's ORIGINAL (version-0) actions — the paper generates the whole
+/// query workload from the initial trace — which the store keeps reachable
+/// across updates (RetainOriginals).
+std::optional<OpenQuery> IssueQuery(P3QSystem* system,
+                                    const std::vector<UserId>& online,
+                                    Rng* rng) {
+  if (online.empty()) return std::nullopt;
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const UserId u = online[workload_rng->NextUint64(online.size())];
+    const UserId u = online[rng->NextUint64(online.size())];
     QuerySpec spec = GenerateQueryForUser(
-        system->profile_store().OriginalActionsOf(u), u, workload_rng);
+        system->profile_store().OriginalActionsOf(u), u, rng);
     if (spec.tags.empty()) continue;
     OpenQuery q;
     q.reference = ReferenceTopK(*system, spec, system->config().top_k);
     q.id = system->IssueQuery(spec);
-    open->push_back(std::move(q));
-    return true;
+    return q;
   }
-  return false;
+  return std::nullopt;
 }
 
 /// The arrival process a phase actually serves: the CLI override wins, then
@@ -90,25 +199,6 @@ const ArrivalSpec& EffectiveArrivals(const Scenario& scenario,
   return scenario.arrivals;
 }
 
-/// Issues one open-loop query from a uniformly random online user and hands
-/// it to the serving tracker with its issue-time centralized reference.
-void TryIssueServingQuery(P3QSystem* system, const std::vector<UserId>& online,
-                          Rng* serving_rng, std::uint64_t cycle,
-                          ServingTracker* tracker, QueryLatencyStats* stats) {
-  if (online.empty()) return;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    const UserId u = online[serving_rng->NextUint64(online.size())];
-    QuerySpec spec = GenerateQueryForUser(
-        system->profile_store().OriginalActionsOf(u), u, serving_rng);
-    if (spec.tags.empty()) continue;
-    std::vector<ItemId> reference =
-        ReferenceTopK(*system, spec, system->config().top_k);
-    const std::uint64_t id = system->IssueQuery(spec);
-    tracker->Track(system, id, cycle, std::move(reference), stats);
-    return;
-  }
-}
-
 /// Phase cycle budget after applying --cycle-scale (every phase keeps >= 1).
 std::uint64_t ScaledCycles(const ScenarioPhase& phase, double cycle_scale) {
   return std::max<std::uint64_t>(
@@ -116,317 +206,93 @@ std::uint64_t ScaledCycles(const ScenarioPhase& phase, double cycle_scale) {
              static_cast<double>(phase.cycles) * cycle_scale)));
 }
 
-// -- Checkpoint codecs of the runner-owned structures ------------------------
-
-void WriteLatencySpec(CheckpointWriter* out, const LatencySpec& spec) {
-  out->U32(static_cast<std::uint32_t>(spec.kind));
-  out->U64(spec.fixed);
-  out->U64(spec.lo);
-  out->U64(spec.hi);
-  out->F64(spec.loss);
-  out->U64(spec.max_delay);
-}
-
-LatencySpec ReadLatencySpec(CheckpointReader* in) {
-  LatencySpec spec;
-  const std::uint32_t kind = in->U32();
-  if (kind > static_cast<std::uint32_t>(LatencyKind::kLossy)) {
-    throw CheckpointError("unknown latency model kind " + std::to_string(kind) +
-                          " in checkpoint");
-  }
-  spec.kind = static_cast<LatencyKind>(kind);
-  spec.fixed = in->U64();
-  spec.lo = in->U64();
-  spec.hi = in->U64();
-  spec.loss = in->F64();
-  spec.max_delay = in->U64();
-  return spec;
-}
-
-void WriteArrivalSpec(CheckpointWriter* out, const ArrivalSpec& spec) {
-  out->U32(static_cast<std::uint32_t>(spec.kind));
-  out->F64(spec.rate);
-  out->U64(spec.trace.size());
-  for (double r : spec.trace) out->F64(r);
-  out->U64(spec.slo_cycles);
-  out->F64(spec.recall_target);
-}
-
-ArrivalSpec ReadArrivalSpec(CheckpointReader* in) {
-  ArrivalSpec spec;
-  const std::uint32_t kind = in->U32();
-  if (kind > static_cast<std::uint32_t>(ArrivalKind::kTrace)) {
-    throw CheckpointError("unknown arrival-process kind " +
-                          std::to_string(kind) + " in checkpoint");
-  }
-  spec.kind = static_cast<ArrivalKind>(kind);
-  spec.rate = in->F64();
-  const std::uint64_t num_rates = in->Count(8);
-  spec.trace.reserve(static_cast<std::size_t>(num_rates));
-  for (std::uint64_t r = 0; r < num_rates; ++r) spec.trace.push_back(in->F64());
-  spec.slo_cycles = in->U64();
-  spec.recall_target = in->F64();
-  return spec;
-}
-
-bool SameArrivalSpec(const ArrivalSpec& a, const ArrivalSpec& b) {
-  return a.kind == b.kind && a.rate == b.rate && a.trace == b.trace &&
-         a.slo_cycles == b.slo_cycles && a.recall_target == b.recall_target;
-}
-
-void WriteKindCounts(CheckpointWriter* out, const Tracer::KindCounts& counts) {
-  for (std::uint64_t c : counts) out->U64(c);
-}
-
-Tracer::KindCounts ReadKindCounts(CheckpointReader* in) {
-  Tracer::KindCounts counts{};
-  for (std::uint64_t& c : counts) c = in->U64();
-  return counts;
-}
-
-/// Serializes a closed PhaseReport. The wall-clock timing block travels as
-/// F64 bit patterns so a resumed report reproduces the straight run's
-/// opt-in timing fields for already-finished phases; the per-engine profile
-/// breakdown (pure wall clock, opt-in only) is intentionally dropped.
-void WritePhaseReport(CheckpointWriter* out, const PhaseReport& pr) {
-  out->Str(pr.name);
-  out->Str(pr.mode);
-  out->U64(pr.cycles);
-  out->U64(pr.online_at_end);
-  out->U64(pr.departures);
-  out->U64(pr.rejoins);
-  out->I64(pr.queries_issued);
-  out->I64(pr.queries_completed);
-  out->F64(pr.avg_recall);
-  out->F64(pr.avg_coverage);
-  out->F64(pr.success_ratio);
-  WriteMetrics(out, pr.traffic);
-  WriteDeliveryStats(out, pr.delivery);
-  out->U64(pr.in_flight_at_end);
-  out->Str(pr.arrivals);
-  WriteQueryLatencyStats(out, pr.query_latency);
-  out->U64(pr.open_queries_at_end);
-  out->F64(pr.timing.wall_seconds);
-  out->F64(pr.timing.cycles_per_sec);
-  out->F64(pr.timing.user_cycles_per_sec);
-  out->F64(pr.timing.queries_per_sec);
-  out->F64(pr.timing.slo_queries_per_sec);
-  out->I64(pr.timing.threads);
-  WriteKindCounts(out, pr.trace_events);
-}
-
-PhaseReport ReadPhaseReport(CheckpointReader* in) {
-  PhaseReport pr;
-  pr.name = in->Str();
-  pr.mode = in->Str();
-  pr.cycles = in->U64();
-  pr.online_at_end = static_cast<std::size_t>(in->U64());
-  pr.departures = static_cast<std::size_t>(in->U64());
-  pr.rejoins = static_cast<std::size_t>(in->U64());
-  pr.queries_issued = static_cast<int>(in->I64());
-  pr.queries_completed = static_cast<int>(in->I64());
-  pr.avg_recall = in->F64();
-  pr.avg_coverage = in->F64();
-  pr.success_ratio = in->F64();
-  pr.traffic = ReadMetrics(in);
-  pr.delivery = ReadDeliveryStats(in);
-  pr.in_flight_at_end = static_cast<std::size_t>(in->U64());
-  pr.arrivals = in->Str();
-  pr.query_latency = ReadQueryLatencyStats(in);
-  pr.open_queries_at_end = static_cast<std::size_t>(in->U64());
-  pr.timing.wall_seconds = in->F64();
-  pr.timing.cycles_per_sec = in->F64();
-  pr.timing.user_cycles_per_sec = in->F64();
-  pr.timing.queries_per_sec = in->F64();
-  pr.timing.slo_queries_per_sec = in->F64();
-  pr.timing.threads = static_cast<int>(in->I64());
-  pr.trace_events = ReadKindCounts(in);
-  return pr;
-}
-
-/// Writes the identity header: which scenario and result-affecting options
-/// produced this snapshot (threads/tracer/profiler excluded — they never
-/// change results).
-void WriteRunHeader(CheckpointWriter* out, const std::string& scenario_name,
-                    const ScenarioRunnerOptions& options,
-                    const LatencySpec& latency) {
-  out->Str(scenario_name);
-  out->I64(options.users);
-  out->U64(options.seed);
-  out->F64(options.cycle_scale);
-  out->I64(options.network_size);
-  out->I64(options.stored_profiles);
-  out->F64(options.alpha);
-  out->I64(options.top_k);
-  out->U32(static_cast<std::uint32_t>(options.similarity));
-  WriteLatencySpec(out, latency);
-  out->U8(options.arrivals.has_value() ? 1 : 0);
-  if (options.arrivals.has_value()) WriteArrivalSpec(out, *options.arrivals);
-  out->Sentinel();
+/// The run identity a checkpoint opens with, as one field list: calls `f`
+/// with each field's name and that field of every `info`. It drives the
+/// header codec and the resume check alike.
+template <typename F, typename... Info>
+void RunHeaderFields(F&& f, Info&... info) {
+  f("scenario", info.scenario...);
+  f("users", info.options.users...);
+  f("seed", info.options.seed...);
+  f("cycle_scale", info.options.cycle_scale...);
+  f("network_size", info.options.network_size...);
+  f("stored_profiles", info.options.stored_profiles...);
+  f("alpha", info.options.alpha...);
+  f("top_k", info.options.top_k...);
+  f("similarity", info.options.similarity...);
+  f("latency", *info.options.latency...);
+  f("arrivals", info.options.arrivals...);
 }
 
 CheckpointRunInfo ReadRunHeader(CheckpointReader* in) {
   CheckpointRunInfo info;
-  info.scenario = in->Str();
-  info.users = static_cast<int>(in->I64());
-  info.seed = in->U64();
-  info.cycle_scale = in->F64();
-  info.network_size = static_cast<int>(in->I64());
-  info.stored_profiles = static_cast<int>(in->I64());
-  info.alpha = in->F64();
-  info.top_k = static_cast<int>(in->I64());
-  const std::uint32_t similarity = in->U32();
-  if (similarity > static_cast<std::uint32_t>(SimilarityMetric::kOverlap)) {
-    throw CheckpointError("unknown similarity metric " +
-                          std::to_string(similarity) + " in checkpoint");
-  }
-  info.similarity = static_cast<SimilarityMetric>(similarity);
-  info.latency = ReadLatencySpec(in);
-  if (in->U8() != 0) info.arrivals = ReadArrivalSpec(in);
+  info.options.latency.emplace();
+  RunHeaderFields([in](const char*, auto& field) { in->Get(&field); }, info);
   in->Sentinel("run header");
   return info;
 }
 
-/// Throws a CheckpointError naming the first option the resuming run sets
-/// differently from what the snapshot was written with.
-void VerifyResumeHeader(const CheckpointRunInfo& info, const Scenario& scenario,
-                        const ScenarioRunnerOptions& options,
-                        const LatencySpec& latency) {
-  const auto mismatch = [](const std::string& what, const std::string& saved,
-                           const std::string& now) {
-    throw CheckpointError("checkpoint was written with " + what + " = " +
-                          saved + " but this run uses " + now +
-                          "; resume with matching options");
-  };
-  if (info.scenario != scenario.name) {
-    mismatch("scenario", info.scenario, scenario.name);
-  }
-  if (info.users != options.users) {
-    mismatch("users", std::to_string(info.users),
-             std::to_string(options.users));
-  }
-  if (info.seed != options.seed) {
-    mismatch("seed", std::to_string(info.seed), std::to_string(options.seed));
-  }
-  if (info.cycle_scale != options.cycle_scale) {
-    mismatch("cycle_scale", std::to_string(info.cycle_scale),
-             std::to_string(options.cycle_scale));
-  }
-  if (info.network_size != options.network_size) {
-    mismatch("network_size", std::to_string(info.network_size),
-             std::to_string(options.network_size));
-  }
-  if (info.stored_profiles != options.stored_profiles) {
-    mismatch("stored_profiles", std::to_string(info.stored_profiles),
-             std::to_string(options.stored_profiles));
-  }
-  if (info.alpha != options.alpha) {
-    mismatch("alpha", std::to_string(info.alpha),
-             std::to_string(options.alpha));
-  }
-  if (info.top_k != options.top_k) {
-    mismatch("top_k", std::to_string(info.top_k),
-             std::to_string(options.top_k));
-  }
-  if (info.similarity != options.similarity) {
-    mismatch("similarity", SimilarityMetricName(info.similarity),
-             SimilarityMetricName(options.similarity));
-  }
-  if (info.latency.Name() != latency.Name()) {
-    mismatch("latency", info.latency.Name(), latency.Name());
-  }
-  if (info.arrivals.has_value() != options.arrivals.has_value() ||
-      (info.arrivals.has_value() &&
-       !SameArrivalSpec(*info.arrivals, *options.arrivals))) {
-    mismatch("arrivals",
-             info.arrivals.has_value() ? info.arrivals->Name() : "none",
-             options.arrivals.has_value() ? options.arrivals->Name() : "none");
-  }
+/// How a resume-mismatch message prints a run-header field.
+std::string Show(const std::string& s) { return s; }
+std::string Show(SimilarityMetric metric) {
+  return SimilarityMetricName(metric);
+}
+std::string Show(const LatencySpec& latency) { return latency.Name(); }
+std::string Show(const std::optional<ArrivalSpec>& arrivals) {
+  return arrivals.has_value() ? arrivals->Name() : "none";
+}
+template <typename Number>
+std::string Show(Number n) {
+  return std::to_string(n);
 }
 
-/// Everything the runner section restores: the resume position, the
-/// workload state, the closed phase reports, and the in-progress phase's
-/// partial accumulators and before-snapshots.
-struct RunnerResumeState {
-  std::size_t phase_index = 0;
-  std::uint64_t cycle = 0;  ///< within the resumed phase
-  std::uint64_t serving_cycle = 0;
-  bool has_tracker = false;
-  bool open_loop = false;
-  std::uint64_t slo_cycles = 0;
-  QueryLatencyStats serving_stats;
-  bool arrival_active = false;
-  std::array<std::uint64_t, 4> arrival_rng{};
-  std::vector<PhaseReport> completed;
-  std::uint64_t pr_departures = 0;
-  std::uint64_t pr_rejoins = 0;
-  std::int64_t pr_queries_issued = 0;
-  Metrics before;
-  DeliveryStats delivery_before;
-  QueryLatencyStats serving_before;
-  bool traced = false;
-  std::uint64_t trace_next_seq = 0;
-  Tracer::KindCounts trace_counts{};
-  Tracer::KindCounts trace_before{};
-  double online_cycle_sum = 0;
-  std::vector<OpenQuery> open;
-};
+/// Throws a CheckpointError naming the first identity field the resuming
+/// run sets differently from what the snapshot was written with.
+void VerifyResumeHeader(const CheckpointRunInfo& saved,
+                        const CheckpointRunInfo& now) {
+  RunHeaderFields(
+      [](const char* name, const auto& was, const auto& is) {
+        if (was == is) return;
+        throw CheckpointError("checkpoint was written with " +
+                              std::string(name) + " = " + Show(was) +
+                              " but this run uses " + Show(is) +
+                              "; resume with matching options");
+      },
+      saved, now);
+}
 
-RunnerResumeState ReadRunnerSection(CheckpointReader* in, Rng* workload_rng,
-                                    Rng* serving_rng,
-                                    std::optional<ServingTracker>* tracker) {
-  RunnerResumeState s;
-  const std::uint64_t num_completed = in->Count(64);
-  s.completed.reserve(static_cast<std::size_t>(num_completed));
-  for (std::uint64_t p = 0; p < num_completed; ++p) {
-    s.completed.push_back(ReadPhaseReport(in));
-  }
-  s.phase_index = s.completed.size();
-  s.cycle = in->U64();
-  s.serving_cycle = in->U64();
-  ReadRngState(in, workload_rng);
-  ReadRngState(in, serving_rng);
-  s.has_tracker = in->U8() != 0;
-  if (s.has_tracker) {
-    tracker->emplace(0, 0.0);  // overwritten entirely by LoadState
-    (*tracker)->LoadState(in);
-  }
-  s.open_loop = in->U8() != 0;
-  s.slo_cycles = in->U64();
-  s.serving_stats = ReadQueryLatencyStats(in);
-  s.arrival_active = in->U8() != 0;
-  if (s.arrival_active) {
-    Rng scratch(0);
-    ReadRngState(in, &scratch);
-    s.arrival_rng = scratch.State();
-  }
-  s.pr_departures = in->U64();
-  s.pr_rejoins = in->U64();
-  s.pr_queries_issued = in->I64();
-  s.before = ReadMetrics(in);
-  s.delivery_before = ReadDeliveryStats(in);
-  s.serving_before = ReadQueryLatencyStats(in);
-  s.traced = in->U8() != 0;
-  if (s.traced) {
-    s.trace_next_seq = in->U64();
-    s.trace_counts = ReadKindCounts(in);
-    s.trace_before = ReadKindCounts(in);
-  }
-  s.online_cycle_sum = in->F64();
-  const std::uint64_t num_open = in->Count(16);
-  s.open.reserve(static_cast<std::size_t>(num_open));
-  for (std::uint64_t q = 0; q < num_open; ++q) {
-    OpenQuery query;
-    query.id = in->U64();
-    const std::uint64_t num_reference = in->Count(4);
-    query.reference.reserve(static_cast<std::size_t>(num_reference));
-    for (std::uint64_t r = 0; r < num_reference; ++r) {
-      query.reference.push_back(in->U32());
-    }
-    s.open.push_back(std::move(query));
-  }
-  in->Sentinel("runner");
-  return s;
+/// Snapshots the whole run — identity header, system, runner state — into
+/// `path`.
+void WriteRunCheckpoint(const std::string& path,
+                        const CheckpointRunInfo& identity,
+                        const P3QSystem& system, const RunState& state) {
+  CheckpointWriter payload;
+  RunHeaderFields(
+      [&payload](const char*, const auto& field) { payload.Put(field); },
+      identity);
+  payload.Sentinel();
+  system.SaveCheckpoint(&payload);
+  payload.Put(state);
+  payload.Sentinel();
+  WriteCheckpointFile(path, payload);
+}
+
+/// Starts the phase after the closed ones: no cycles run, no partial
+/// counts or open queries, and fresh snapshots of the counters the phase's
+/// report is a delta of.
+void OpenPhase(const P3QSystem& system, const Tracer* tracer,
+               RunState* state) {
+  state->cycle = 0;
+  state->arrival_rng.reset();  // the phase's ArrivalProcess seeds its own
+  state->departures = 0;
+  state->rejoins = 0;
+  state->queries_issued = 0;
+  state->traffic_before = system.network().metrics().Snapshot();
+  state->delivery_before = system.DeliveryStatsTotal();
+  state->serving_before = state->serving_stats;
+  if (tracer != nullptr) state->trace->phase_start = tracer->counts();
+  state->online_cycle_sum = 0;
+  state->open.clear();
 }
 
 /// Emits one node_departed / node_rejoined event per user at the timeline
@@ -506,41 +372,14 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
   system.SetLatency(latency);
   system.SetTracer(options.tracer);
   system.SetProfiler(options.profiler);
+  Tracer* const tracer = options.tracer;
   const bool resuming = !options.resume_path.empty();
   // A resumed run restores every view/network/rng below, so the bootstrap
   // draws would be overwritten anyway — skip the work.
   if (!resuming) system.BootstrapRandomViews();
-  // Workload randomness (querier choice, duty sampling, update batches) is
-  // forked off the master seed, decorrelated from the system's own stream.
-  Rng workload_rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL);
-  // Open-loop serving draws querier choices from its own forked stream so
-  // enabling the harness never perturbs the closed-loop workload stream
-  // (arrival counts have yet another, inside ArrivalProcess).
-  Rng serving_rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x8a5cd789635d2dffULL);
-  std::optional<ServingTracker> tracker;  // created at the first arrival phase
-  QueryLatencyStats serving_stats;
-  std::uint64_t serving_cycle = 0;  // global timeline cycle, across phases
 
-  ScenarioReport report;
-  report.scenario = scenario.name;
-  report.description = scenario.description;
-  report.seed = options.seed;
-  report.users = stream.num_users();
-  report.network_size = config.network_size;
-  report.stored_profiles = config.stored_profiles;
-  report.top_k = config.top_k;
-  report.alpha = config.alpha;
-  report.latency = latency;
-  report.traced = options.tracer != nullptr;
-  report.profiled = options.profiler != nullptr;
-
-  // The ideal networks the success ratio compares against; recomputed only
-  // when an update storm changed the profiles.
-  IdealNetworks ideal;
-  bool ideal_dirty = true;
-
-  // Checkpoint/resume wiring. The checkpoint fires at the top of timeline
-  // cycle K, before K's events — so a resumed run fires them exactly once.
+  // The checkpoint fires at the top of timeline cycle K, before K's events
+  // — so a resumed run fires them exactly once.
   const bool want_checkpoint = options.checkpoint_at.has_value();
   if (want_checkpoint) {
     std::uint64_t total_scaled = 0;
@@ -560,169 +399,119 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     }
   }
   bool checkpoint_written = false;
+  CheckpointRunInfo identity{scenario.name, options};
+  identity.options.latency = latency;
 
-  RunnerResumeState resume;
+  RunState state;
   if (resuming) {
     const std::vector<std::uint8_t> payload =
         ReadCheckpointPayload(options.resume_path);
     CheckpointReader in(payload.data(), payload.size());
-    VerifyResumeHeader(ReadRunHeader(&in), scenario, options, latency);
+    VerifyResumeHeader(ReadRunHeader(&in), identity);
     system.LoadCheckpoint(&in);
-    resume = ReadRunnerSection(&in, &workload_rng, &serving_rng, &tracker);
+    in.Get(&state);
+    in.Sentinel("runner");
     in.ExpectEnd();
-    if (resume.phase_index >= scenario.phases.size()) {
+    if (state.phases.size() >= scenario.phases.size()) {
       throw CheckpointError(
           "checkpoint resume position is past the end of the timeline");
     }
-    serving_cycle = resume.serving_cycle;
-    serving_stats = resume.serving_stats;
-    report.open_loop = resume.open_loop;
-    report.slo_cycles = resume.slo_cycles;
-    if (options.tracer != nullptr && resume.traced) {
-      // Continue the straight run's event numbering: the resumed JSONL is a
-      // byte-suffix of the full trace.
-      options.tracer->RestoreCursor(resume.trace_next_seq,
-                                    resume.trace_counts);
+    const ScenarioPhase& phase = scenario.phases[state.phases.size()];
+    if (state.cycle >= ScaledCycles(phase, options.cycle_scale)) {
+      throw CheckpointError("checkpoint resume position is past the phase end");
     }
-    for (PhaseReport& done : resume.completed) {
-      report.total_cycles += done.cycles;
-      report.total_departures += done.departures;
-      report.total_rejoins += done.rejoins;
-      report.total_queries_issued += done.queries_issued;
-      report.total_queries_completed += done.queries_completed;
-      report.total_timing.wall_seconds += done.timing.wall_seconds;
-      report.phases.push_back(std::move(done));
+    if (state.arrival_rng.has_value() ==
+        EffectiveArrivals(scenario, phase, options).IsNone()) {
+      throw CheckpointError(
+          "checkpoint arrival-process state does not match the scenario's "
+          "phase");
     }
-    if (want_checkpoint && *options.checkpoint_at < serving_cycle) {
-      throw std::invalid_argument(
-          "ScenarioRunnerOptions: checkpoint_at " +
-          std::to_string(*options.checkpoint_at) +
-          " is before the resume position (" + std::to_string(serving_cycle) +
-          ")");
+    // The snapshot's trace cursor applies only when this run is traced too.
+    if (tracer == nullptr) {
+      state.trace.reset();
+    } else if (state.trace.has_value()) {
+      // Continue the straight run's event numbering: a resumed JSONL trace
+      // is a byte-suffix of the full trace.
+      tracer->RestoreCursor(state.trace->next_seq, state.trace->counts);
+    } else {
+      state.trace.emplace().phase_start = tracer->counts();
     }
+  } else {
+    // Workload and serving randomness fork off the master seed,
+    // decorrelated from the system's own stream.
+    state.workload_rng =
+        Rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL);
+    state.serving_rng =
+        Rng(options.seed * 0x9e3779b97f4a7c15ULL + 0x8a5cd789635d2dffULL);
+    if (tracer != nullptr) state.trace.emplace();
+    OpenPhase(system, tracer, &state);
+  }
+  if (want_checkpoint && *options.checkpoint_at < state.serving_cycle) {
+    throw std::invalid_argument(
+        "ScenarioRunnerOptions: checkpoint_at " +
+        std::to_string(*options.checkpoint_at) +
+        " is before the resume position (" +
+        std::to_string(state.serving_cycle) + ")");
   }
 
-  for (std::size_t phase_index = 0; phase_index < scenario.phases.size();
-       ++phase_index) {
-    if (resuming && phase_index < resume.phase_index) continue;
-    const bool resumed_phase = resuming && phase_index == resume.phase_index;
+  // The ideal networks the success ratio compares against; recomputed only
+  // when an update storm changed the profiles.
+  IdealNetworks ideal;
+  bool ideal_dirty = true;
+
+  for (std::size_t phase_index = state.phases.size();
+       phase_index < scenario.phases.size(); ++phase_index) {
     const ScenarioPhase& phase = scenario.phases[phase_index];
     const std::uint64_t cycles = ScaledCycles(phase, options.cycle_scale);
-
-    PhaseReport pr;
-    pr.name = phase.name;
-    pr.mode = PhaseModeName(phase.mode);
-    pr.cycles = cycles;
 
     const ArrivalSpec& phase_arrivals =
         EffectiveArrivals(scenario, phase, options);
     std::optional<ArrivalProcess> arrival_process;
     if (!phase_arrivals.IsNone()) {
-      if (!tracker.has_value()) {
+      if (!state.tracker.has_value()) {
         // The SLO/recall target of the run come from the first serving
         // phase; later phases may change the rate but not the target.
-        tracker.emplace(phase_arrivals.slo_cycles,
-                        phase_arrivals.recall_target);
-        report.open_loop = true;
-        report.slo_cycles = phase_arrivals.slo_cycles;
+        state.tracker.emplace(phase_arrivals.slo_cycles,
+                              phase_arrivals.recall_target);
+        state.open_loop = true;
+        state.slo_cycles = phase_arrivals.slo_cycles;
       }
-      arrival_process.emplace(phase_arrivals,
-                              options.seed + report.phases.size());
-      pr.arrivals = phase_arrivals.Name();
-    }
-    if (resumed_phase) {
-      if (resume.cycle >= cycles) {
-        throw CheckpointError(
-            "checkpoint resume position is past the phase end");
+      arrival_process.emplace(phase_arrivals, options.seed + phase_index);
+      if (state.arrival_rng.has_value()) {
+        arrival_process->rng() = *state.arrival_rng;
       }
-      if (resume.arrival_active != arrival_process.has_value()) {
-        throw CheckpointError(
-            "checkpoint arrival-process state does not match the scenario's "
-            "phase");
-      }
-      if (arrival_process.has_value()) {
-        arrival_process->rng().SetState(resume.arrival_rng);
-      }
-      pr.departures = static_cast<std::size_t>(resume.pr_departures);
-      pr.rejoins = static_cast<std::size_t>(resume.pr_rejoins);
-      pr.queries_issued = static_cast<int>(resume.pr_queries_issued);
-    }
-    const QueryLatencyStats serving_before =
-        resumed_phase ? resume.serving_before : serving_stats;
-
-    std::vector<OpenQuery> open =
-        resumed_phase ? std::move(resume.open) : std::vector<OpenQuery>{};
-    const Metrics before =
-        resumed_phase ? resume.before : system.metrics().Snapshot();
-    const DeliveryStats delivery_before =
-        resumed_phase ? resume.delivery_before : system.DeliveryStatsTotal();
-    Tracer::KindCounts trace_before{};
-    if (options.tracer != nullptr) {
-      trace_before = resumed_phase && resume.traced ? resume.trace_before
-                                                    : options.tracer->counts();
     }
     std::map<std::string, PhaseBreakdown> profile_before;
     if (options.profiler != nullptr) {
       profile_before = options.profiler->Snapshot();
     }
-    double online_cycle_sum =
-        resumed_phase ? resume.online_cycle_sum
-                      : 0;  // Σ over cycles of online users (work rate)
-
-    // Snapshots the whole run — identity header, system, runner position —
-    // into options.checkpoint_path. Everything captured lives above.
-    const auto save_checkpoint = [&](std::uint64_t cycle_in_phase) {
-      CheckpointWriter payload;
-      WriteRunHeader(&payload, scenario.name, options, latency);
-      system.SaveCheckpoint(&payload);
-      payload.U64(report.phases.size());
-      for (const PhaseReport& done : report.phases) {
-        WritePhaseReport(&payload, done);
+    // Closed-loop queries: tracked by the phase, sampled at its end.
+    const auto issue_queries = [&](int count) {
+      const std::vector<UserId> online = system.network().OnlineUsers();
+      for (int i = 0; i < count; ++i) {
+        if (std::optional<OpenQuery> q =
+                IssueQuery(&system, online, &state.workload_rng)) {
+          state.open.push_back(std::move(*q));
+          ++state.queries_issued;
+        }
       }
-      payload.U64(cycle_in_phase);
-      payload.U64(serving_cycle);
-      WriteRngState(&payload, workload_rng);
-      WriteRngState(&payload, serving_rng);
-      payload.U8(tracker.has_value() ? 1 : 0);
-      if (tracker.has_value()) tracker->SaveState(&payload);
-      payload.U8(report.open_loop ? 1 : 0);
-      payload.U64(report.slo_cycles);
-      WriteQueryLatencyStats(&payload, serving_stats);
-      payload.U8(arrival_process.has_value() ? 1 : 0);
-      if (arrival_process.has_value()) {
-        WriteRngState(&payload, arrival_process->rng());
-      }
-      payload.U64(pr.departures);
-      payload.U64(pr.rejoins);
-      payload.I64(pr.queries_issued);
-      WriteMetrics(&payload, before);
-      WriteDeliveryStats(&payload, delivery_before);
-      WriteQueryLatencyStats(&payload, serving_before);
-      payload.U8(options.tracer != nullptr ? 1 : 0);
-      if (options.tracer != nullptr) {
-        payload.U64(options.tracer->accepted());
-        WriteKindCounts(&payload, options.tracer->counts());
-        WriteKindCounts(&payload, trace_before);
-      }
-      payload.F64(online_cycle_sum);
-      payload.U64(open.size());
-      for (const OpenQuery& q : open) {
-        payload.U64(q.id);
-        payload.U64(q.reference.size());
-        for (ItemId item : q.reference) payload.U32(item);
-      }
-      payload.Sentinel();
-      WriteCheckpointFile(options.checkpoint_path, payload);
     };
 
-    const std::uint64_t start_cycle = resumed_phase ? resume.cycle : 0;
     const auto wall_start = std::chrono::steady_clock::now();
-    for (std::uint64_t cycle = start_cycle; cycle < cycles; ++cycle) {
+    for (; state.cycle < cycles; ++state.cycle) {
+      const std::uint64_t cycle = state.cycle;
       // 0. Checkpoint — taken at the top of the timeline cycle, BEFORE this
       // cycle's events fire, so the resumed run fires them exactly once.
       if (want_checkpoint && !checkpoint_written &&
-          serving_cycle == *options.checkpoint_at) {
-        save_checkpoint(cycle);
+          state.serving_cycle == *options.checkpoint_at) {
+        if (tracer != nullptr) {
+          state.trace->next_seq = tracer->accepted();
+          state.trace->counts = tracer->counts();
+        }
+        if (arrival_process.has_value()) {
+          state.arrival_rng = arrival_process->rng();
+        }
+        WriteRunCheckpoint(options.checkpoint_path, identity, system, state);
         checkpoint_written = true;
       }
 
@@ -735,31 +524,25 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
           case EventKind::kDeparture: {
             const std::vector<UserId> departed =
                 system.FailRandomFraction(event.fraction);
-            pr.departures += departed.size();
-            TraceLiveness(options.tracer, TraceEventKind::kNodeDeparted,
-                          serving_cycle, departed);
+            state.departures += departed.size();
+            TraceLiveness(tracer, TraceEventKind::kNodeDeparted,
+                          state.serving_cycle, departed);
             break;
           }
           case EventKind::kRejoin: {
             const std::vector<UserId> rejoined =
                 system.RejoinRandomFraction(event.fraction);
-            pr.rejoins += rejoined.size();
-            TraceLiveness(options.tracer, TraceEventKind::kNodeRejoined,
-                          serving_cycle, rejoined);
+            state.rejoins += rejoined.size();
+            TraceLiveness(tracer, TraceEventKind::kNodeRejoined,
+                          state.serving_cycle, rejoined);
             break;
           }
-          case EventKind::kQueryBurst: {
-            const std::vector<UserId> online = system.network().OnlineUsers();
-            for (int i = 0; i < event.count; ++i) {
-              if (TryIssueQuery(&system, online, &workload_rng, &open)) {
-                ++pr.queries_issued;
-              }
-            }
+          case EventKind::kQueryBurst:
+            issue_queries(event.count);
             break;
-          }
           case EventKind::kUpdateStorm: {
             const UpdateBatch batch = stream.MakeUpdateBatch(
-                event.update, &workload_rng, original_actions);
+                event.update, &state.workload_rng, original_actions);
             system.ApplyUpdateBatch(batch);
             ideal_dirty = true;
             break;
@@ -777,32 +560,26 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
         const std::size_t current = system.network().NumOnline();
         if (current > target_online) {
           const std::vector<UserId> leaving =
-              workload_rng.SampleWithoutReplacement(
+              state.workload_rng.SampleWithoutReplacement(
                   system.network().OnlineUsers(), current - target_online);
           for (UserId u : leaving) system.FailUser(u);
-          pr.departures += leaving.size();
-          TraceLiveness(options.tracer, TraceEventKind::kNodeDeparted,
-                        serving_cycle, leaving);
+          state.departures += leaving.size();
+          TraceLiveness(tracer, TraceEventKind::kNodeDeparted,
+                        state.serving_cycle, leaving);
         } else if (current < target_online) {
-          std::vector<UserId> back = workload_rng.SampleWithoutReplacement(
-              system.network().OfflineUsers(), target_online - current);
+          std::vector<UserId> back =
+              state.workload_rng.SampleWithoutReplacement(
+                  system.network().OfflineUsers(), target_online - current);
           std::sort(back.begin(), back.end());
           for (UserId u : back) system.RejoinUser(u);
-          pr.rejoins += back.size();
-          TraceLiveness(options.tracer, TraceEventKind::kNodeRejoined,
-                        serving_cycle, back);
+          state.rejoins += back.size();
+          TraceLiveness(tracer, TraceEventKind::kNodeRejoined,
+                        state.serving_cycle, back);
         }
       }
 
       // 3. Background query workload.
-      if (phase.queries_per_cycle > 0) {
-        const std::vector<UserId> online = system.network().OnlineUsers();
-        for (int i = 0; i < phase.queries_per_cycle; ++i) {
-          if (TryIssueQuery(&system, online, &workload_rng, &open)) {
-            ++pr.queries_issued;
-          }
-        }
-      }
+      if (phase.queries_per_cycle > 0) issue_queries(phase.queries_per_cycle);
 
       // 4. Open-loop arrivals (the serving workload rides the same cycle as
       // the closed-loop background queries, but is tracked to completion).
@@ -811,14 +588,19 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
         if (n > 0) {
           const std::vector<UserId> online = system.network().OnlineUsers();
           for (int i = 0; i < n; ++i) {
-            TryIssueServingQuery(&system, online, &serving_rng, serving_cycle,
-                                 &*tracker, &serving_stats);
+            if (std::optional<OpenQuery> q =
+                    IssueQuery(&system, online, &state.serving_rng)) {
+              state.tracker->Track(&system, q->id, state.serving_cycle,
+                                   std::move(q->reference),
+                                   &state.serving_stats);
+            }
           }
         }
       }
 
       // 5. Protocol cycles.
-      online_cycle_sum += static_cast<double>(system.network().NumOnline());
+      state.online_cycle_sum +=
+          static_cast<double>(system.network().NumOnline());
       switch (phase.mode) {
         case PhaseMode::kLazy:
           system.RunLazyCycles(1);
@@ -836,31 +618,41 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       // completions (a query issued this cycle completing right after its
       // first eager cycle scores latency 1; latency 0 is issue-time-local
       // completion inside Track).
-      ++serving_cycle;
-      if (tracker.has_value() && tracker->open() > 0) {
-        tracker->Poll(&system, serving_cycle, &serving_stats);
+      ++state.serving_cycle;
+      if (state.tracker.has_value() && state.tracker->open() > 0) {
+        state.tracker->Poll(&system, state.serving_cycle, &state.serving_stats);
       }
 
       // 7. Progress heartbeat (stderr only; stdout reports are sacred).
       if (options.progress_every > 0 &&
-          serving_cycle % options.progress_every == 0) {
+          state.serving_cycle % options.progress_every == 0) {
         std::fprintf(stderr,
                      "p3q_sim: phase %s cycle %llu/%llu (timeline %llu), "
                      "%zu queries open, %zu messages in flight\n",
                      phase.name.c_str(),
                      static_cast<unsigned long long>(cycle + 1),
                      static_cast<unsigned long long>(cycles),
-                     static_cast<unsigned long long>(serving_cycle),
-                     tracker.has_value() ? tracker->open() : std::size_t{0},
+                     static_cast<unsigned long long>(state.serving_cycle),
+                     state.tracker.has_value() ? state.tracker->open()
+                                               : std::size_t{0},
                      system.MessagesInFlight());
       }
     }
     const auto wall_end = std::chrono::steady_clock::now();
 
+    PhaseReport pr;
+    pr.name = phase.name;
+    pr.mode = PhaseModeName(phase.mode);
+    pr.cycles = cycles;
+    if (arrival_process.has_value()) pr.arrivals = phase_arrivals.Name();
+    pr.departures = state.departures;
+    pr.rejoins = state.rejoins;
+    pr.queries_issued = state.queries_issued;
+
     // Phase boundary: sample every query issued during the phase against
     // its centralized reference, then release it.
     double recall_sum = 0, coverage_sum = 0;
-    for (const OpenQuery& q : open) {
+    for (const OpenQuery& q : state.open) {
       const ActiveQuery& query = system.query(q.id);
       recall_sum += RecallAtK(query.CurrentTopKItems(), q.reference);
       coverage_sum +=
@@ -896,15 +688,16 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
     }
     pr.success_ratio = AverageSuccessRatio(system, ideal);
     pr.online_at_end = system.network().NumOnline();
-    pr.traffic = system.metrics().Since(before);
-    pr.delivery = system.DeliveryStatsTotal().Since(delivery_before);
+    pr.traffic = system.metrics().Since(state.traffic_before);
+    pr.delivery = system.DeliveryStatsTotal().Since(state.delivery_before);
     pr.in_flight_at_end = system.MessagesInFlight();
-    pr.query_latency = serving_stats.Since(serving_before);
-    pr.open_queries_at_end = tracker.has_value() ? tracker->open() : 0;
-    if (options.tracer != nullptr) {
-      const Tracer::KindCounts& now = options.tracer->counts();
+    pr.query_latency = state.serving_stats.Since(state.serving_before);
+    pr.open_queries_at_end =
+        state.tracker.has_value() ? state.tracker->open() : 0;
+    if (tracer != nullptr) {
+      const Tracer::KindCounts& now = tracer->counts();
       for (std::size_t i = 0; i < now.size(); ++i) {
-        pr.trace_events[i] = MonotoneDelta(now[i], trace_before[i]);
+        pr.trace_events[i] = MonotoneDelta(now[i], state.trace->phase_start[i]);
       }
     }
     if (options.profiler != nullptr) {
@@ -920,7 +713,7 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
       pr.timing.cycles_per_sec =
           static_cast<double>(cycles) / pr.timing.wall_seconds;
       pr.timing.user_cycles_per_sec =
-          online_cycle_sum / pr.timing.wall_seconds;
+          state.online_cycle_sum / pr.timing.wall_seconds;
       pr.timing.queries_per_sec =
           static_cast<double>(pr.query_latency.completed) /
           pr.timing.wall_seconds;
@@ -928,31 +721,48 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
           static_cast<double>(pr.query_latency.completed_within_slo) /
           pr.timing.wall_seconds;
     }
+    state.phases.push_back(std::move(pr));
+    OpenPhase(system, tracer, &state);
+  }
 
+  // Queries still open when the timeline ends never completed: count them
+  // as abandoned in the run totals (the per-phase deltas are already
+  // closed, so no phase claims them as completions).
+  if (state.tracker.has_value()) {
+    state.tracker->Abandon(&system, state.serving_cycle, &state.serving_stats);
+  }
+
+  ScenarioReport report;
+  report.scenario = scenario.name;
+  report.description = scenario.description;
+  report.seed = options.seed;
+  report.users = stream.num_users();
+  report.network_size = config.network_size;
+  report.stored_profiles = config.stored_profiles;
+  report.top_k = config.top_k;
+  report.alpha = config.alpha;
+  report.latency = latency;
+  report.traced = tracer != nullptr;
+  report.profiled = options.profiler != nullptr;
+  report.open_loop = state.open_loop;
+  report.slo_cycles = state.slo_cycles;
+  report.phases = std::move(state.phases);
+  double online_weighted = 0;
+  for (const PhaseReport& pr : report.phases) {
     report.total_cycles += pr.cycles;
     report.total_departures += pr.departures;
     report.total_rejoins += pr.rejoins;
     report.total_queries_issued += pr.queries_issued;
     report.total_queries_completed += pr.queries_completed;
     report.total_timing.wall_seconds += pr.timing.wall_seconds;
-    report.phases.push_back(std::move(pr));
+    online_weighted += pr.timing.user_cycles_per_sec * pr.timing.wall_seconds;
   }
-
-  // Queries still open when the timeline ends never completed: count them
-  // as abandoned in the run totals (the per-phase deltas are already
-  // closed, so no phase claims them as completions).
-  if (tracker.has_value()) {
-    tracker->Abandon(&system, serving_cycle, &serving_stats);
-  }
-  report.total_query_latency = serving_stats;
-
+  report.total_query_latency = state.serving_stats;
   report.total_traffic = system.metrics().Snapshot();
   report.total_delivery = system.DeliveryStatsTotal();
   // Whole-run rollups are read AFTER Abandon so end-of-run query_abandoned
   // events are included (they land past the last phase's delta).
-  if (options.tracer != nullptr) {
-    report.total_trace_events = options.tracer->counts();
-  }
+  if (tracer != nullptr) report.total_trace_events = tracer->counts();
   if (options.profiler != nullptr) {
     report.total_profile = options.profiler->Snapshot();
   }
@@ -971,10 +781,6 @@ ScenarioReport RunScenarioTimeline(const Scenario& scenario,
 
   report.total_timing.threads = system.threads();
   if (report.total_timing.wall_seconds > 0) {
-    double online_weighted = 0;
-    for (const PhaseReport& pr : report.phases) {
-      online_weighted += pr.timing.user_cycles_per_sec * pr.timing.wall_seconds;
-    }
     report.total_timing.cycles_per_sec =
         static_cast<double>(report.total_cycles) /
         report.total_timing.wall_seconds;

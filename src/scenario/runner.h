@@ -83,24 +83,15 @@ struct ScenarioRunnerOptions {
   std::string resume_path;
 };
 
-/// Identity of a checkpoint: the scenario and result-affecting options it
-/// was written with. Lets a CLI reconstruct a matching run from the file
-/// alone (p3q_sim --resume=FILE).
+/// Identity of a checkpoint: the scenario and the result-affecting options
+/// it was written with. Lets a CLI reconstruct a matching run from the file
+/// alone (p3q_sim --resume=FILE). `options.latency` always holds the run's
+/// EFFECTIVE latency model (the scenario's own or the override); options
+/// that never change results (threads, tracer, profiler, progress and the
+/// checkpoint/resume paths) keep their defaults.
 struct CheckpointRunInfo {
   std::string scenario;
-  int users = 0;
-  std::uint64_t seed = 0;
-  double cycle_scale = 1.0;
-  int network_size = 0;
-  int stored_profiles = 0;
-  double alpha = 0.5;
-  int top_k = 0;
-  SimilarityMetric similarity = SimilarityMetric::kCommonActions;
-  /// The EFFECTIVE latency model of the run (scenario's own or the CLI
-  /// override) — set it as the options override when resuming.
-  LatencySpec latency;
-  /// The run's arrival-process override, when one was set.
-  std::optional<ArrivalSpec> arrivals;
+  ScenarioRunnerOptions options;
 };
 
 /// Reads a checkpoint's identity header (validating magic/version/CRC).
@@ -119,6 +110,16 @@ struct PhaseTiming {
   double queries_per_sec = 0;
   double slo_queries_per_sec = 0;
   int threads = 1;                 ///< plan-phase worker threads of the run
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.wall_seconds...);
+    f(s.cycles_per_sec...);
+    f(s.user_cycles_per_sec...);
+    f(s.queries_per_sec...);
+    f(s.slo_queries_per_sec...);
+    f(s.threads...);
+  }
 };
 
 /// End-of-run memory footprint (P3QSystem::MemoryStats rollup plus the
@@ -185,6 +186,32 @@ struct PhaseReport {
   /// Per-engine wall-clock phase breakdown of this phase (empty when the
   /// run was not profiled). Same opt-in serialization gate.
   std::map<std::string, PhaseBreakdown> profile;
+
+  /// The field list a checkpoint stores a closed phase with: everything but
+  /// `profile` (pure wall clock, opt-in only), so a resumed report
+  /// reproduces the finished phases, timing included.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.name...);
+    f(s.mode...);
+    f(s.cycles...);
+    f(s.online_at_end...);
+    f(s.departures...);
+    f(s.rejoins...);
+    f(s.queries_issued...);
+    f(s.queries_completed...);
+    f(s.avg_recall...);
+    f(s.avg_coverage...);
+    f(s.success_ratio...);
+    f(s.traffic...);
+    f(s.delivery...);
+    f(s.in_flight_at_end...);
+    f(s.arrivals...);
+    f(s.query_latency...);
+    f(s.open_queries_at_end...);
+    f(s.timing...);
+    f(s.trace_events...);
+  }
 };
 
 /// The structured output of one scenario run.

@@ -51,7 +51,7 @@ struct ScenarioEvent {
   EventKind kind = EventKind::kDeparture;
   double fraction = 0.0;  ///< kDeparture / kRejoin: share of eligible users
   int count = 0;          ///< kQueryBurst: queries to issue
-  UpdateConfig update;    ///< kUpdateStorm: batch shape
+  UpdateConfig update{};  ///< kUpdateStorm: batch shape
 };
 
 /// Target online fraction as a function of (cycle offset, phase length).

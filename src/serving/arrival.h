@@ -51,6 +51,7 @@ struct ArrivalSpec {
   double recall_target = 1.0;
 
   bool IsNone() const { return kind == ArrivalKind::kNone; }
+  bool operator==(const ArrivalSpec&) const = default;
 
   /// Canonical compact form: "none", "poisson:3", "trace:1,4,2".
   /// Round-trips through ParseArrivalSpec (SLO/recall knobs excluded).
@@ -58,6 +59,17 @@ struct ArrivalSpec {
 
   /// Empty when well formed, else a description of the first problem.
   std::string Validate() const;
+
+  /// The field list (checkpoint order): calls `f` once per field with that
+  /// field of every `s`.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.kind...);
+    f(s.rate...);
+    f(s.trace...);
+    f(s.slo_cycles...);
+    f(s.recall_target...);
+  }
 };
 
 /// Parses "none" | "poisson:R" | "trace:A,B,C" into `spec` (slo_cycles and

@@ -38,6 +38,8 @@ class ServingTracker {
  public:
   /// slo_cycles / recall_target: the serving SLO (ArrivalSpec's knobs).
   ServingTracker(std::uint64_t slo_cycles, double recall_target);
+  /// An empty tracker for LoadState to fill.
+  ServingTracker() = default;
 
   /// Registers a query issued at serving cycle `cycle` with the
   /// centralized reference captured at issue time, and counts it into
@@ -79,8 +81,8 @@ class ServingTracker {
   bool MeetsRecallTarget(const P3QSystem& system, std::uint64_t query_id,
                          const OpenQuery& open) const;
 
-  std::uint64_t slo_cycles_;
-  double recall_target_;
+  std::uint64_t slo_cycles_ = 0;
+  double recall_target_ = 1.0;
   /// Ordered by query id so polling order is deterministic.
   std::map<std::uint64_t, OpenQuery> open_;
 };

@@ -252,70 +252,6 @@ void ReadRngState(CheckpointReader* in, Rng* rng) {
   rng->SetState(state);
 }
 
-void WriteMetrics(CheckpointWriter* out, const Metrics& metrics) {
-  constexpr int kNumTypes = static_cast<int>(MessageType::kCount);
-  for (int t = 0; t < kNumTypes; ++t) {
-    const MessageStats& s = metrics.Of(static_cast<MessageType>(t));
-    out->U64(s.messages);
-    out->U64(s.bytes);
-  }
-}
-
-Metrics ReadMetrics(CheckpointReader* in) {
-  Metrics metrics;
-  constexpr int kNumTypes = static_cast<int>(MessageType::kCount);
-  for (int t = 0; t < kNumTypes; ++t) {
-    MessageStats s;
-    s.messages = in->U64();
-    s.bytes = in->U64();
-    metrics.Restore(static_cast<MessageType>(t), s);
-  }
-  return metrics;
-}
-
-void WriteDeliveryStats(CheckpointWriter* out, const DeliveryStats& stats) {
-  out->U64(stats.enqueued);
-  out->U64(stats.dropped);
-  out->U64(stats.delivered);
-  out->U64(stats.stale_dropped);
-  out->U64(stats.max_in_flight);
-  for (std::uint64_t bucket : stats.lag_histogram) out->U64(bucket);
-}
-
-DeliveryStats ReadDeliveryStats(CheckpointReader* in) {
-  DeliveryStats stats;
-  stats.enqueued = in->U64();
-  stats.dropped = in->U64();
-  stats.delivered = in->U64();
-  stats.stale_dropped = in->U64();
-  stats.max_in_flight = in->U64();
-  for (std::uint64_t& bucket : stats.lag_histogram) bucket = in->U64();
-  return stats;
-}
-
-void WriteQueryLatencyStats(CheckpointWriter* out,
-                            const QueryLatencyStats& stats) {
-  out->U64(stats.issued);
-  out->U64(stats.completed);
-  out->U64(stats.completed_within_slo);
-  out->U64(stats.first_results);
-  out->U64(stats.abandoned);
-  for (std::uint64_t bucket : stats.completion_histogram) out->U64(bucket);
-  for (std::uint64_t bucket : stats.first_result_histogram) out->U64(bucket);
-}
-
-QueryLatencyStats ReadQueryLatencyStats(CheckpointReader* in) {
-  QueryLatencyStats stats;
-  stats.issued = in->U64();
-  stats.completed = in->U64();
-  stats.completed_within_slo = in->U64();
-  stats.first_results = in->U64();
-  stats.abandoned = in->U64();
-  for (std::uint64_t& bucket : stats.completion_histogram) bucket = in->U64();
-  for (std::uint64_t& bucket : stats.first_result_histogram) bucket = in->U64();
-  return stats;
-}
-
 // ---------------------------------------------------------------------------
 // File framing
 // ---------------------------------------------------------------------------

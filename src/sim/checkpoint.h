@@ -24,10 +24,13 @@
 #ifndef P3Q_SIM_CHECKPOINT_H_
 #define P3Q_SIM_CHECKPOINT_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -64,6 +67,14 @@ inline constexpr std::uint32_t kNullProfileRef = 0xffffffffu;
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over a byte range.
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size);
 
+/// What a field list cannot say about a type. Specialize for every enum a
+/// checkpoint carries — `kLast` (its last valid value) and `kNoun` (how
+/// errors name it) — and for every struct stored in a vector: `kMinBytes`,
+/// the smallest encoding of one element, which bounds a decoded count
+/// before anything is allocated.
+template <typename T>
+struct CheckpointTraits;
+
 /// Little-endian append-only byte sink for checkpoint payloads.
 class CheckpointWriter {
  public:
@@ -81,6 +92,16 @@ class CheckpointWriter {
   /// Appends another writer's buffer verbatim (used to order the profile
   /// pool ahead of the body that interned into it).
   void Append(const CheckpointWriter& other);
+
+  /// Writes `v` in the encoding its type selects — the one codec every
+  /// field list is walked with (CheckpointReader::Get decodes it): bool as
+  /// U8, enums and uint32 as U32, other integers as U64/I64, double as
+  /// F64, string as Str, optional as a U8 presence flag then the value,
+  /// vector as a u64 count then the elements, array as its elements, Rng
+  /// as its state, a type with SaveState through that, and any other
+  /// struct as its static Fields list in order.
+  template <typename T>
+  void Put(const T& v);
 
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
 
@@ -107,6 +128,12 @@ class CheckpointReader {
   std::uint64_t Count(std::size_t min_elem_size);
   /// Verifies a section-boundary sentinel; `section` names it in errors.
   void Sentinel(const char* section);
+
+  /// Decodes what CheckpointWriter::Put<T> wrote into `*v`. Vector counts
+  /// are bounded by Count, enums are range-checked (CheckpointTraits), and
+  /// a type with LoadState decodes through that.
+  template <typename T>
+  void Get(T* v);
 
   std::size_t Remaining() const { return size_ - pos_; }
   /// Throws unless the payload was consumed exactly.
@@ -179,16 +206,6 @@ DigestInfo ReadDigestInfo(CheckpointReader* in, const ProfileTable& profiles);
 void WriteRngState(CheckpointWriter* out, const Rng& rng);
 void ReadRngState(CheckpointReader* in, Rng* rng);
 
-void WriteMetrics(CheckpointWriter* out, const Metrics& metrics);
-Metrics ReadMetrics(CheckpointReader* in);
-
-void WriteDeliveryStats(CheckpointWriter* out, const DeliveryStats& stats);
-DeliveryStats ReadDeliveryStats(CheckpointReader* in);
-
-void WriteQueryLatencyStats(CheckpointWriter* out,
-                            const QueryLatencyStats& stats);
-QueryLatencyStats ReadQueryLatencyStats(CheckpointReader* in);
-
 /// Frames `payload` (magic, version, CRC) and writes it to `path`.
 /// Throws CheckpointError on I/O failure.
 void WriteCheckpointFile(const std::string& path,
@@ -197,6 +214,118 @@ void WriteCheckpointFile(const std::string& path,
 /// Reads `path`, validates magic/version/CRC, and returns the payload
 /// bytes. Throws CheckpointError with a friendly message on any problem.
 std::vector<std::uint8_t> ReadCheckpointPayload(const std::string& path);
+
+// ---------------------------------------------------------------------------
+// The typed codec behind Put/Get.
+// ---------------------------------------------------------------------------
+
+namespace checkpoint_internal {
+
+template <typename T>
+struct IsOptional : std::false_type {};
+template <typename T>
+struct IsOptional<std::optional<T>> : std::true_type {};
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+template <typename T>
+struct IsArray : std::false_type {};
+template <typename T, std::size_t N>
+struct IsArray<std::array<T, N>> : std::true_type {};
+
+/// Encoded size of one vector element of type T (a lower bound for structs).
+template <typename T>
+constexpr std::size_t MinBytes() {
+  if constexpr (std::is_class_v<T>) {
+    return CheckpointTraits<T>::kMinBytes;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return 1;
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint32_t>) {
+    return 4;
+  } else {
+    return 8;
+  }
+}
+
+}  // namespace checkpoint_internal
+
+template <typename T>
+void CheckpointWriter::Put(const T& v) {
+  namespace ci = checkpoint_internal;
+  if constexpr (std::is_same_v<T, bool>) {
+    U8(v ? 1 : 0);
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, std::uint32_t>) {
+    U32(static_cast<std::uint32_t>(v));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    F64(v);
+  } else if constexpr (std::is_signed_v<T>) {
+    I64(v);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    U64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    Str(v);
+  } else if constexpr (std::is_same_v<T, Rng>) {
+    WriteRngState(this, v);
+  } else if constexpr (ci::IsOptional<T>::value) {
+    U8(v.has_value() ? 1 : 0);
+    if (v.has_value()) Put(*v);
+  } else if constexpr (ci::IsVector<T>::value) {
+    U64(v.size());
+    for (const auto& element : v) Put(element);
+  } else if constexpr (ci::IsArray<T>::value) {
+    for (const auto& element : v) Put(element);
+  } else if constexpr (requires { v.SaveState(this); }) {
+    v.SaveState(this);
+  } else {
+    T::Fields([this](const auto& field) { Put(field); }, v);
+  }
+}
+
+template <typename T>
+void CheckpointReader::Get(T* v) {
+  namespace ci = checkpoint_internal;
+  if constexpr (std::is_same_v<T, bool>) {
+    *v = U8() != 0;
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::uint32_t raw = U32();
+    if (raw > static_cast<std::uint32_t>(CheckpointTraits<T>::kLast)) {
+      throw CheckpointError(std::string("unknown ") +
+                            CheckpointTraits<T>::kNoun + " " +
+                            std::to_string(raw) + " in checkpoint");
+    }
+    *v = static_cast<T>(raw);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    *v = U32();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    *v = F64();
+  } else if constexpr (std::is_signed_v<T>) {
+    *v = static_cast<T>(I64());
+  } else if constexpr (std::is_unsigned_v<T>) {
+    *v = static_cast<T>(U64());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *v = Str();
+  } else if constexpr (std::is_same_v<T, Rng>) {
+    ReadRngState(this, v);
+  } else if constexpr (ci::IsOptional<T>::value) {
+    v->reset();
+    if (U8() != 0) Get(&v->emplace());
+  } else if constexpr (ci::IsVector<T>::value) {
+    using Element = typename T::value_type;
+    const std::uint64_t count = Count(ci::MinBytes<Element>());
+    v->clear();
+    v->reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) Get(&v->emplace_back());
+  } else if constexpr (ci::IsArray<T>::value) {
+    for (auto& element : *v) Get(&element);
+  } else if constexpr (requires { v->LoadState(this); }) {
+    v->LoadState(this);
+  } else {
+    T::Fields([this](auto& field) { Get(&field); }, *v);
+  }
+}
 
 }  // namespace p3q
 

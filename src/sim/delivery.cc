@@ -216,7 +216,7 @@ void DeliveryQueue::SaveState(const CycleProtocol& protocol,
                               CheckpointWriter* out,
                               ProfilePool* pool) const {
   out->U64(next_seq_);
-  WriteDeliveryStats(out, stats_);
+  out->Put(stats_);
   out->U64(due_.size());
   for (const auto& [due_cycle, bucket] : due_) {
     out->U64(due_cycle);
@@ -235,7 +235,7 @@ void DeliveryQueue::LoadState(const CycleProtocol& protocol,
                               CheckpointReader* in,
                               const ProfileTable& profiles) {
   next_seq_ = in->U64();
-  stats_ = ReadDeliveryStats(in);
+  in->Get(&stats_);
   due_.clear();
   in_flight_ = 0;
   const std::uint64_t num_buckets = in->Count(16);

@@ -58,6 +58,7 @@ struct LatencySpec {
   std::uint64_t max_delay = 0;  ///< kLossy: survivors delayed in [0, this]
 
   bool IsZero() const { return kind == LatencyKind::kZero; }
+  bool operator==(const LatencySpec&) const = default;
 
   /// Canonical compact form: "zero", "fixed:2", "uniform:1:3",
   /// "lossy:0.10:4". Round-trips through ParseLatencySpec.
@@ -65,6 +66,18 @@ struct LatencySpec {
 
   /// Empty when well formed, else a description of the first problem.
   std::string Validate() const;
+
+  /// The field list (checkpoint order): calls `f` once per field with that
+  /// field of every `s`.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.kind...);
+    f(s.fixed...);
+    f(s.lo...);
+    f(s.hi...);
+    f(s.loss...);
+    f(s.max_delay...);
+  }
 };
 
 /// Parses "zero" | "fixed:K" | "uniform:LO:HI" | "lossy:P:MAX" into `spec`.

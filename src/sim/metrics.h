@@ -16,8 +16,8 @@
 
 namespace p3q {
 
-/// `now - earlier` for monotone counters. Every Since/operator- delta in
-/// this file goes through here: a misordered snapshot (subtracting a LATER
+/// `now - earlier` for monotone counters. Every Since delta in this file
+/// goes through here: a misordered snapshot (subtracting a LATER
 /// snapshot from an earlier one) would otherwise silently wrap to ~2^64.
 /// Asserts the ordering in debug builds; clamps to zero in release.
 inline std::uint64_t MonotoneDelta(std::uint64_t now, std::uint64_t earlier) {
@@ -51,9 +51,14 @@ struct MessageStats {
     ++messages;
     bytes += b;
   }
-  MessageStats operator-(const MessageStats& other) const {
-    return MessageStats{MonotoneDelta(messages, other.messages),
-                        MonotoneDelta(bytes, other.bytes)};
+
+  /// The field list: calls `f` once per field with that field of every
+  /// `s`, in checkpoint order. The stats structs below share this shape, so
+  /// one walk serves the checkpoint codec, MergeFrom and Since.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.messages...);
+    f(s.bytes...);
   }
 };
 
@@ -90,18 +95,19 @@ class Metrics {
   /// Zeroes every counter.
   void Reset();
 
-  /// Overwrites one counter pair (checkpoint restore).
-  void Restore(MessageType type, const MessageStats& stats) {
-    stats_[static_cast<int>(type)] = stats;
+  /// The field list: every MessageStats in MessageType order.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    for (std::size_t t = 0; t < kNumTypes; ++t) {
+      MessageStats::Fields(f, s.stats_[t]...);
+    }
   }
 
  private:
-  std::array<MessageStats, static_cast<int>(MessageType::kCount)> stats_{};
+  static constexpr std::size_t kNumTypes =
+      static_cast<std::size_t>(MessageType::kCount);
+  std::array<MessageStats, kNumTypes> stats_{};
 };
-
-/// Delivery-lag histogram resolution: lags of 0..kDeliveryLagBuckets-2
-/// cycles are counted exactly; the last bucket absorbs everything longer.
-inline constexpr std::size_t kDeliveryLagBuckets = 33;
 
 /// A percentile read off a clamped histogram. The final bucket aggregates
 /// every observation at or past the clamp, so a percentile landing there is
@@ -111,6 +117,60 @@ struct PercentileValue {
   double value = -1.0;       ///< -1 when nothing was recorded
   bool lower_bound = false;  ///< true: the true percentile is >= value
 };
+
+/// Counts of small non-negative values (lags, latencies in cycles):
+/// values 0..N-2 are counted exactly, the final bucket absorbs everything
+/// larger.
+template <std::size_t N>
+struct Histogram {
+  std::array<std::uint64_t, N> buckets{};
+
+  void Record(std::uint64_t value) { ++buckets[value < N ? value : N - 1]; }
+
+  std::uint64_t operator[](std::size_t i) const { return buckets[i]; }
+  bool operator==(const Histogram&) const = default;
+
+  /// Smallest value V such that at least `p` (in [0, 1]) of all recorded
+  /// values are <= V; value -1 when nothing was recorded. A read landing in
+  /// the final bucket only bounds the true value from below and sets
+  /// `lower_bound`.
+  PercentileValue Percentile(double p) const {
+    std::uint64_t total = 0;
+    for (std::uint64_t count : buckets) total += count;
+    if (total == 0) return PercentileValue{-1.0, false};
+    const double target = p * static_cast<double>(total);
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i + 1 < N; ++i) {
+      cumulative += buckets[i];
+      if (static_cast<double>(cumulative) >= target) {
+        return PercentileValue{static_cast<double>(i), false};
+      }
+    }
+    return PercentileValue{static_cast<double>(N - 1), true};
+  }
+
+  void MergeFrom(const Histogram& other) {
+    for (std::size_t i = 0; i < N; ++i) buckets[i] += other.buckets[i];
+  }
+
+  /// Per-bucket difference (this - earlier).
+  Histogram Since(const Histogram& earlier) const {
+    Histogram delta;
+    for (std::size_t i = 0; i < N; ++i) {
+      delta.buckets[i] = MonotoneDelta(buckets[i], earlier.buckets[i]);
+    }
+    return delta;
+  }
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.buckets...);
+  }
+};
+
+/// Delivery-lag histogram resolution: lags of 0..kDeliveryLagBuckets-2
+/// cycles are counted exactly; the last bucket absorbs everything longer.
+inline constexpr std::size_t kDeliveryLagBuckets = 33;
 
 /// Counters of the asynchronous delivery layer (sim/delivery.h): how many
 /// planned effects went onto the wire, how long they stayed in flight, and
@@ -123,21 +183,12 @@ struct DeliveryStats {
   std::uint64_t stale_dropped = 0;  ///< arrived but obsolete (superseded)
   std::uint64_t max_in_flight = 0;  ///< peak queue depth after a plan barrier
   /// delivered messages by lag = commit cycle - send cycle.
-  std::array<std::uint64_t, kDeliveryLagBuckets> lag_histogram{};
+  Histogram<kDeliveryLagBuckets> lag_histogram;
 
   void RecordDelivery(std::uint64_t lag) {
     ++delivered;
-    ++lag_histogram[lag < kDeliveryLagBuckets ? lag : kDeliveryLagBuckets - 1];
+    lag_histogram.Record(lag);
   }
-
-  /// Smallest lag L such that at least `p` (in [0, 1]) of all delivered
-  /// messages had lag <= L; value -1 when nothing was delivered. When the
-  /// percentile lands in the final clamped bucket the true lag is only
-  /// known to be >= kDeliveryLagBuckets - 1, and `lower_bound` is set.
-  PercentileValue LagPercentileBound(double p) const;
-
-  /// Value-only shorthand for LagPercentileBound (the clamp flag dropped).
-  double LagPercentile(double p) const { return LagPercentileBound(p).value; }
 
   /// Adds every counter of `other`; max_in_flight takes the maximum.
   void MergeFrom(const DeliveryStats& other);
@@ -145,6 +196,16 @@ struct DeliveryStats {
   /// Per-counter difference (this - earlier) for phase deltas.
   /// max_in_flight keeps this side's running peak (peaks do not subtract).
   DeliveryStats Since(const DeliveryStats& earlier) const;
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.enqueued...);
+    f(s.dropped...);
+    f(s.delivered...);
+    f(s.stale_dropped...);
+    f(s.max_in_flight...);
+    f(s.lag_histogram...);
+  }
 };
 
 /// Query-completion-latency histogram resolution: latencies of
@@ -158,8 +219,7 @@ inline constexpr std::size_t kQueryLatencyBuckets = 65;
 /// (completion = the recall target reached, or the eager mode's NRA
 /// finalization), and how many met the completion SLO. All counters are
 /// deterministic in (seed, scenario, latency model) — like DeliveryStats
-/// they never depend on the thread count. The same shape as DeliveryStats:
-/// clamped histograms, percentile reads, MergeFrom/Since deltas.
+/// they never depend on the thread count.
 struct QueryLatencyStats {
   std::uint64_t issued = 0;     ///< open-loop queries injected
   std::uint64_t completed = 0;  ///< reached the recall target / finalized
@@ -167,32 +227,20 @@ struct QueryLatencyStats {
   std::uint64_t first_results = 0;  ///< received >= 1 remote partial result
   std::uint64_t abandoned = 0;      ///< still open when the run ended
   /// completed queries by latency = completion cycle - issue cycle.
-  std::array<std::uint64_t, kQueryLatencyBuckets> completion_histogram{};
+  Histogram<kQueryLatencyBuckets> completion_histogram;
   /// first-result queries by latency = first-result cycle - issue cycle.
-  std::array<std::uint64_t, kQueryLatencyBuckets> first_result_histogram{};
+  Histogram<kQueryLatencyBuckets> first_result_histogram;
 
   void RecordCompletion(std::uint64_t latency, std::uint64_t slo_cycles) {
     ++completed;
     if (latency <= slo_cycles) ++completed_within_slo;
-    ++completion_histogram[latency < kQueryLatencyBuckets
-                               ? latency
-                               : kQueryLatencyBuckets - 1];
+    completion_histogram.Record(latency);
   }
 
   void RecordFirstResult(std::uint64_t latency) {
     ++first_results;
-    ++first_result_histogram[latency < kQueryLatencyBuckets
-                                 ? latency
-                                 : kQueryLatencyBuckets - 1];
+    first_result_histogram.Record(latency);
   }
-
-  /// Smallest completion latency L such that at least `p` of all completed
-  /// queries finished within L cycles; value -1 when nothing completed.
-  /// `lower_bound` is set when the read lands in the final clamped bucket.
-  PercentileValue CompletionPercentile(double p) const;
-
-  /// Same read over the first-result histogram.
-  PercentileValue FirstResultPercentile(double p) const;
 
   /// True when no query was ever issued.
   bool Empty() const { return issued == 0; }
@@ -202,6 +250,17 @@ struct QueryLatencyStats {
 
   /// Per-counter difference (this - earlier) for phase deltas.
   QueryLatencyStats Since(const QueryLatencyStats& earlier) const;
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.issued...);
+    f(s.completed...);
+    f(s.completed_within_slo...);
+    f(s.first_results...);
+    f(s.abandoned...);
+    f(s.completion_histogram...);
+    f(s.first_result_histogram...);
+  }
 };
 
 }  // namespace p3q

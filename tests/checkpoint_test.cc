@@ -9,6 +9,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,13 +29,13 @@
 namespace p3q {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
+using test::ScratchPath;
 
+/// Throws when `path` cannot be read, so a missing file fails the test
+/// instead of flowing on as an empty buffer.
 std::vector<std::uint8_t> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
+  if (!in.good()) throw std::runtime_error("cannot read " + path);
   return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
                                    std::istreambuf_iterator<char>());
 }
@@ -115,32 +116,39 @@ TEST(CheckpointCodecTest, RngStateRoundTrip) {
   }
 }
 
+/// Encodes `value`, decodes it into a fresh T, and encodes that again:
+/// both encodings must match byte for byte.
+template <typename T>
+void ExpectRoundTripBytes(const T& value) {
+  CheckpointWriter w;
+  w.Put(value);
+  CheckpointReader r(w.buffer().data(), w.buffer().size());
+  T back;
+  r.Get(&back);
+  r.ExpectEnd();
+  CheckpointWriter w2;
+  w2.Put(back);
+  EXPECT_EQ(w.buffer(), w2.buffer());
+}
+
 TEST(CheckpointCodecTest, StatsRoundTripBytes) {
   Metrics m;
   m.Record(MessageType::kLazyDigestProposal, 321);
   m.Record(MessageType::kPartialResult, 77);
-  CheckpointWriter w;
-  WriteMetrics(&w, m);
-  CheckpointReader r(w.buffer().data(), w.buffer().size());
-  const Metrics back = ReadMetrics(&r);
-  r.ExpectEnd();
-  CheckpointWriter w2;
-  WriteMetrics(&w2, back);
-  EXPECT_EQ(w.buffer(), w2.buffer());
+  ExpectRoundTripBytes(m);
 
   DeliveryStats d;
   d.enqueued = 10;
   d.delivered = 8;
   d.dropped = 1;
   d.RecordDelivery(3);
-  CheckpointWriter dw;
-  WriteDeliveryStats(&dw, d);
-  CheckpointReader dr(dw.buffer().data(), dw.buffer().size());
-  const DeliveryStats dback = ReadDeliveryStats(&dr);
-  dr.ExpectEnd();
-  CheckpointWriter dw2;
-  WriteDeliveryStats(&dw2, dback);
-  EXPECT_EQ(dw.buffer(), dw2.buffer());
+  ExpectRoundTripBytes(d);
+
+  QueryLatencyStats q;
+  q.issued = 4;
+  q.RecordCompletion(2, /*slo_cycles=*/8);
+  q.RecordFirstResult(1);
+  ExpectRoundTripBytes(q);
 }
 
 TEST(CheckpointCodecTest, ProfilePoolSharesSnapshots) {
@@ -214,7 +222,7 @@ struct RunConfig {
   std::string scenario;
   double cycle_scale = 0.2;
   int users = 120;
-  std::optional<LatencySpec> latency;
+  std::optional<LatencySpec> latency{};
 };
 
 ScenarioRunnerOptions BaseOptions(const RunConfig& cfg) {
@@ -250,7 +258,7 @@ void ExpectResumeIdentical(const RunConfig& cfg, const Rendered& straight,
                std::to_string(checkpoint_threads) + "/" +
                std::to_string(resume_threads));
   const Scenario scenario = MakeScenario(cfg.scenario);
-  const std::string path = TempPath("matrix_" + cfg.scenario + "_" +
+  const std::string path = ScratchPath("matrix_" + cfg.scenario + "_" +
                                     std::to_string(k) + ".ckpt");
 
   ScenarioRunnerOptions writer = BaseOptions(cfg);
@@ -271,7 +279,7 @@ void ExpectResumeIdentical(const RunConfig& cfg, const Rendered& straight,
 }
 
 TEST(CheckpointResumeTest, DiurnalEveryInterestingK) {
-  const RunConfig cfg{"diurnal"};
+  const RunConfig cfg{.scenario = "diurnal"};
   const Scenario scenario = MakeScenario(cfg.scenario);
   const std::uint64_t total = TotalScaledCycles(scenario, cfg.cycle_scale);
   const std::uint64_t first_phase = std::max<std::uint64_t>(
@@ -288,7 +296,7 @@ TEST(CheckpointResumeTest, DiurnalEveryInterestingK) {
 }
 
 TEST(CheckpointResumeTest, ThreadCountsNeverLeakIntoResume) {
-  const RunConfig cfg{"diurnal"};
+  const RunConfig cfg{.scenario = "diurnal"};
   const Rendered straight = StraightRun(cfg);
   // Snapshot under one thread count, resume under another — every pairing
   // must land on the same bytes.
@@ -309,7 +317,7 @@ TEST(CheckpointResumeTest, EveryLatencyModel) {
                   /*loss=*/0.1, /*max_delay=*/4},
   };
   for (const LatencySpec& spec : models) {
-    RunConfig cfg{"diurnal"};
+    RunConfig cfg{.scenario = "diurnal"};
     cfg.latency = spec;
     SCOPED_TRACE(spec.Name());
     const Rendered straight = StraightRun(cfg);
@@ -318,7 +326,7 @@ TEST(CheckpointResumeTest, EveryLatencyModel) {
 }
 
 TEST(CheckpointResumeTest, OpenLoopServingResumes) {
-  RunConfig cfg{"open-loop-steady"};
+  RunConfig cfg{.scenario = "open-loop-steady"};
   cfg.cycle_scale = 0.25;
   const Scenario scenario = MakeScenario(cfg.scenario);
   const std::uint64_t total = TotalScaledCycles(scenario, cfg.cycle_scale);
@@ -332,9 +340,9 @@ TEST(CheckpointResumeTest, OpenLoopServingResumes) {
 }
 
 TEST(CheckpointResumeTest, ResumedTraceIsByteSuffixOfStraightTrace) {
-  const RunConfig cfg{"open-loop-steady"};
+  const RunConfig cfg{.scenario = "open-loop-steady"};
   const Scenario scenario = MakeScenario(cfg.scenario);
-  const std::string path = TempPath("trace_suffix.ckpt");
+  const std::string path = ScratchPath("trace_suffix.ckpt");
 
   const auto traced_run = [&](ScenarioRunnerOptions options) {
     std::ostringstream out;
@@ -379,10 +387,13 @@ Scenario EventBoundaryScenario() {
   phase.mode = PhaseMode::kMixed;
   phase.queries_per_cycle = 1;
   phase.events = {
-      ScenarioEvent{/*at_cycle=*/5, EventKind::kDeparture, /*fraction=*/0.3},
-      ScenarioEvent{/*at_cycle=*/8, EventKind::kRejoin, /*fraction=*/1.0},
-      ScenarioEvent{/*at_cycle=*/8, EventKind::kQueryBurst, /*fraction=*/0,
-                    /*count=*/4},
+      ScenarioEvent{.at_cycle = 5,
+                    .kind = EventKind::kDeparture,
+                    .fraction = 0.3},
+      ScenarioEvent{
+          .at_cycle = 8, .kind = EventKind::kRejoin, .fraction = 1.0},
+      ScenarioEvent{
+          .at_cycle = 8, .kind = EventKind::kQueryBurst, .count = 4},
   };
   s.phases.push_back(std::move(phase));
   return s;
@@ -401,7 +412,7 @@ TEST(CheckpointResumeTest, ResumeOnEventCycleFiresEventsExactlyOnce) {
   for (const std::uint64_t k : {std::uint64_t{5}, std::uint64_t{8}}) {
     SCOPED_TRACE(k);
     const std::string path =
-        TempPath("event_boundary_" + std::to_string(k) + ".ckpt");
+        ScratchPath("event_boundary_" + std::to_string(k) + ".ckpt");
     ScenarioRunnerOptions writer = base;
     writer.checkpoint_at = k;
     writer.checkpoint_path = path;
@@ -425,7 +436,7 @@ class CheckpointCorruptionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     scenario_ = new Scenario(MakeScenario("diurnal"));
-    path_ = new std::string(TempPath("corruption_source.ckpt"));
+    path_ = new std::string(ScratchPath("corruption_source.ckpt"));
     ScenarioRunnerOptions options;
     options.users = 100;
     options.seed = 5;
@@ -447,7 +458,7 @@ class CheckpointCorruptionTest : public ::testing::Test {
   /// a full resume to reject it with CheckpointError.
   void ExpectRejected(const std::vector<std::uint8_t>& bytes,
                       const std::string& expect_substring = "") {
-    const std::string path = TempPath("corrupt_case.ckpt");
+    const std::string path = ScratchPath("corrupt_case.ckpt");
     WriteFileBytes(path, bytes);
     try {
       ReadScenarioCheckpointInfo(path);
@@ -480,12 +491,12 @@ std::vector<std::uint8_t>* CheckpointCorruptionTest::bytes_ = nullptr;
 TEST_F(CheckpointCorruptionTest, IntactSnapshotLoads) {
   const CheckpointRunInfo info = ReadScenarioCheckpointInfo(*path_);
   EXPECT_EQ(info.scenario, "diurnal");
-  EXPECT_EQ(info.users, 100);
-  EXPECT_EQ(info.seed, 5u);
+  EXPECT_EQ(info.options.users, 100);
+  EXPECT_EQ(info.options.seed, 5u);
 }
 
 TEST_F(CheckpointCorruptionTest, MissingFileRejected) {
-  EXPECT_THROW(ReadScenarioCheckpointInfo(TempPath("no_such_file.ckpt")),
+  EXPECT_THROW(ReadScenarioCheckpointInfo(ScratchPath("no_such_file.ckpt")),
                CheckpointError);
 }
 
@@ -545,7 +556,7 @@ TEST_F(CheckpointCorruptionTest, CheckpointPastTimelineRejected) {
   options.seed = 5;
   options.cycle_scale = 0.2;
   options.checkpoint_at = 100000;
-  options.checkpoint_path = TempPath("never_written.ckpt");
+  options.checkpoint_path = ScratchPath("never_written.ckpt");
   EXPECT_THROW(RunScenario(*scenario_, options), std::invalid_argument);
 }
 
@@ -555,34 +566,45 @@ TEST_F(CheckpointCorruptionTest, CheckpointPastTimelineRejected) {
 // migration story); a byte-level drift in the writer shows up here too.
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointGoldenTest, V1SnapshotStillResumesByteIdentically) {
-  const std::string golden =
+const std::string& GoldenPath() {
+  static const std::string path =
       std::string(P3Q_SOURCE_DIR) + "/tests/golden/checkpoint_v1.ckpt";
-  const CheckpointRunInfo info = ReadScenarioCheckpointInfo(golden);
+  return path;
+}
+
+TEST(CheckpointGoldenTest, V1SnapshotStillResumesByteIdentically) {
+  const CheckpointRunInfo info = ReadScenarioCheckpointInfo(GoldenPath());
   EXPECT_EQ(info.scenario, "diurnal");
-  EXPECT_EQ(info.users, 120);
-  EXPECT_EQ(info.seed, 3u);
+  EXPECT_EQ(info.options.users, 120);
+  EXPECT_EQ(info.options.seed, 3u);
   ASSERT_TRUE(HasScenario(info.scenario));
 
   const Scenario scenario = MakeScenario(info.scenario);
-  ScenarioRunnerOptions options;
-  options.users = info.users;
-  options.seed = info.seed;
-  options.cycle_scale = info.cycle_scale;
-  options.network_size = info.network_size;
-  options.stored_profiles = info.stored_profiles;
-  options.alpha = info.alpha;
-  options.top_k = info.top_k;
-  options.similarity = info.similarity;
-  options.latency = info.latency;
-  options.arrivals = info.arrivals;
-  const Rendered straight = RenderReport(RunScenario(scenario, options));
+  const Rendered straight = RenderReport(RunScenario(scenario, info.options));
 
-  ScenarioRunnerOptions reader = options;
-  reader.resume_path = golden;
+  ScenarioRunnerOptions reader = info.options;
+  reader.resume_path = GoldenPath();
   const Rendered resumed = RenderReport(RunScenario(scenario, reader));
   EXPECT_EQ(resumed.json, straight.json);
   EXPECT_EQ(resumed.csv, straight.csv);
+}
+
+// Pins the writer: resuming the golden and checkpointing again at the
+// golden's own position must rewrite the file byte for byte.
+TEST(CheckpointGoldenTest, V1SnapshotRewritesByteIdentically) {
+  const CheckpointRunInfo info = ReadScenarioCheckpointInfo(GoldenPath());
+  ASSERT_TRUE(HasScenario(info.scenario));
+  ScenarioRunnerOptions options = info.options;
+  options.resume_path = GoldenPath();
+  options.checkpoint_at = 7;  // the golden's own timeline position
+  options.checkpoint_path = ScratchPath("golden_rewrite.ckpt");
+  RunScenario(MakeScenario(info.scenario), options);
+  const std::vector<std::uint8_t> rewritten =
+      ReadFileBytes(options.checkpoint_path);
+  const std::vector<std::uint8_t> golden = ReadFileBytes(GoldenPath());
+  EXPECT_EQ(rewritten.size(), golden.size());
+  EXPECT_TRUE(rewritten == golden)
+      << "the rewritten checkpoint differs from the golden";
 }
 
 }  // namespace

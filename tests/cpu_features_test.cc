@@ -34,7 +34,9 @@ TEST(CpuFeaturesTest, DetectionIsInternallyConsistent) {
 #ifdef P3Q_SCORE_KERNEL_SIMD_X86
   // This binary only builds its x86 lanes on x86-64, where POPCNT shipped
   // long before AVX2.
-  if (f.avx2) EXPECT_TRUE(f.popcnt);
+  if (f.avx2) {
+    EXPECT_TRUE(f.popcnt);
+  }
 #endif
 }
 
@@ -42,9 +44,15 @@ TEST(CpuFeaturesTest, ToStringNamesEveryDetectedFlag) {
   const CpuFeatures& f = HostCpuFeatures();
   const std::string s = CpuFeaturesToString(f);
   EXPECT_FALSE(s.empty());
-  if (f.avx2) EXPECT_NE(s.find("avx2"), std::string::npos);
-  if (f.avx512f) EXPECT_NE(s.find("avx512f"), std::string::npos);
-  if (f.os_ymm) EXPECT_NE(s.find("ymm"), std::string::npos);
+  if (f.avx2) {
+    EXPECT_NE(s.find("avx2"), std::string::npos);
+  }
+  if (f.avx512f) {
+    EXPECT_NE(s.find("avx512f"), std::string::npos);
+  }
+  if (f.os_ymm) {
+    EXPECT_NE(s.find("ymm"), std::string::npos);
+  }
 }
 
 TEST(SimdDispatchTest, ScalarLaneIsAlwaysAvailable) {

@@ -271,7 +271,7 @@ TEST(TraceWriterTest, RoundTripsThroughLoader) {
 
 TEST(TraceWriterTest, FileRoundTrip) {
   const SyntheticTrace trace = test::SmallTrace(20, 73);
-  const std::string path = ::testing::TempDir() + "/p3q_trace_roundtrip.tsv";
+  const std::string path = test::ScratchPath("p3q_trace_roundtrip.tsv");
   ASSERT_TRUE(WriteTaggingTraceFile(trace.dataset(), path));
   const auto loaded = LoadTaggingTraceFile(path);
   ASSERT_TRUE(loaded.has_value());

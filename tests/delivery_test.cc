@@ -193,13 +193,13 @@ TEST(DeliveryQueueTest, FoldAssignsSeqInShardOrderAndCountsDrops) {
 
 TEST(DeliveryStatsTest, PercentilesMergeAndSince) {
   DeliveryStats stats;
-  EXPECT_EQ(stats.LagPercentile(0.5), -1.0);
+  EXPECT_EQ(stats.lag_histogram.Percentile(0.5).value, -1.0);
   for (int i = 0; i < 6; ++i) stats.RecordDelivery(0);
   for (int i = 0; i < 3; ++i) stats.RecordDelivery(2);
   stats.RecordDelivery(100);  // clamps into the last bucket
-  EXPECT_EQ(stats.LagPercentile(0.50), 0.0);
-  EXPECT_EQ(stats.LagPercentile(0.90), 2.0);
-  EXPECT_EQ(stats.LagPercentile(1.0),
+  EXPECT_EQ(stats.lag_histogram.Percentile(0.50).value, 0.0);
+  EXPECT_EQ(stats.lag_histogram.Percentile(0.90).value, 2.0);
+  EXPECT_EQ(stats.lag_histogram.Percentile(1.0).value,
             static_cast<double>(kDeliveryLagBuckets - 1));
 
   DeliveryStats other;

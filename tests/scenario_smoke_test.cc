@@ -21,6 +21,7 @@
 #include "scenario/registry.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
+#include "test_util.h"
 
 #ifndef P3Q_BIN_DIR
 #error "P3Q_BIN_DIR must be defined by the build"
@@ -79,8 +80,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 int RunCli(const std::string& args) {
   // Quote the binary path: the build dir may contain spaces.
-  const std::string cmd = "\"" + std::string(P3Q_BIN_DIR) + "/p3q_sim\" " +
-                          args + " > /dev/null 2>&1";
+  std::string cmd = "\"" P3Q_BIN_DIR "/p3q_sim\" ";
+  cmd += args;
+  cmd += " > /dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   EXPECT_NE(status, -1);
   EXPECT_TRUE(WIFEXITED(status)) << cmd << " killed by signal";
@@ -103,9 +105,8 @@ TEST(P3qSimScenarioCli, UnknownScenarioFails) {
 }
 
 TEST(P3qSimScenarioCli, DiurnalJsonReportIsCompleteAndDeterministic) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path_a = dir + "/p3q_diurnal_a.json";
-  const std::string path_b = dir + "/p3q_diurnal_b.json";
+  const std::string path_a = test::ScratchPath("p3q_diurnal_a.json");
+  const std::string path_b = test::ScratchPath("p3q_diurnal_b.json");
   const std::string args =
       "--scenario=diurnal --users=80 --cycle-scale=0.25 --seed=5 --json=";
   ASSERT_EQ(RunCli(args + "\"" + path_a + "\""), 0);
@@ -139,6 +140,32 @@ TEST(P3qSimScenarioCli, DiurnalJsonReportIsCompleteAndDeterministic) {
   std::remove(path_b.c_str());
 }
 
+TEST(P3qSimScenarioCli, CheckpointThenResumeMatchesTheStraightRun) {
+  const std::string straight = test::ScratchPath("p3q_ckpt_straight.json");
+  const std::string resumed = test::ScratchPath("p3q_ckpt_resumed.json");
+  const std::string checkpoint = test::ScratchPath("p3q_ckpt.ckpt");
+  const std::string args =
+      "--scenario=diurnal --users=80 --cycle-scale=0.25 --seed=5 ";
+  ASSERT_EQ(RunCli(args + "--json=\"" + straight + "\""), 0);
+  ASSERT_EQ(RunCli(args + "--checkpoint-at=5 --checkpoint=\"" + checkpoint +
+                   "\""),
+            0);
+  const std::string resume = "--resume=\"" + checkpoint + "\" ";
+  ASSERT_EQ(RunCli(resume + "--threads=2 --json=\"" + resumed + "\""), 0);
+  const std::string json = ReadFileOrEmpty(straight);
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json, ReadFileOrEmpty(resumed))
+      << "a resumed run must reproduce the straight run's report";
+
+  // The snapshot fixes every result-affecting option; a flag that would
+  // silently be ignored is rejected instead.
+  for (const char* flag :
+       {"--users=500", "--seed=9", "--s=20", "--c=5", "--alpha=0.3", "--k=5",
+        "--similarity=jaccard", "--cycle-scale=0.5"}) {
+    EXPECT_NE(RunCli(resume + flag), 0) << flag;
+  }
+}
+
 TEST(P3qSimScenarioCli, SimilarityFlagIsStrictAndSelectsTheMetric) {
   // Strict parsing: unknown names, prefixes, case variants and empty
   // values are all rejected.
@@ -152,10 +179,9 @@ TEST(P3qSimScenarioCli, SimilarityFlagIsStrictAndSelectsTheMetric) {
   // changes the report (jaccard ranks different neighbours than raw common
   // actions, so traffic/recall shift), while equal-seed runs of the same
   // metric stay byte-identical.
-  const std::string dir = ::testing::TempDir();
-  const std::string common_a = dir + "/p3q_sim_common_a.json";
-  const std::string common_b = dir + "/p3q_sim_common_b.json";
-  const std::string jaccard = dir + "/p3q_sim_jaccard.json";
+  const std::string common_a = test::ScratchPath("p3q_sim_common_a.json");
+  const std::string common_b = test::ScratchPath("p3q_sim_common_b.json");
+  const std::string jaccard = test::ScratchPath("p3q_sim_jaccard.json");
   const std::string args =
       "--scenario=steady-state --users=60 --cycle-scale=0.2 --seed=5 ";
   ASSERT_EQ(RunCli(args + "--similarity=common --json=\"" + common_a + "\""),
@@ -188,9 +214,8 @@ TEST(P3qSimScenarioCli, LatencyFlagIsValidatedAndDeterministic) {
   EXPECT_NE(RunCli("--loss=1.5"), 0);
   EXPECT_NE(RunCli("--latency=fixed:2 --loss=0.1"), 0);
 
-  const std::string dir = ::testing::TempDir();
-  const std::string path_a = dir + "/p3q_lagged_a.json";
-  const std::string path_b = dir + "/p3q_lagged_b.json";
+  const std::string path_a = test::ScratchPath("p3q_lagged_a.json");
+  const std::string path_b = test::ScratchPath("p3q_lagged_b.json");
   const std::string args =
       "--scenario=steady-state --latency=uniform:1:3 --users=60 "
       "--cycle-scale=0.2 --seed=5 --json=";
@@ -240,9 +265,8 @@ TEST(P3qSimScenarioCli, ArrivalFlagsAreValidated) {
 }
 
 TEST(P3qSimScenarioCli, ArrivalRateRunEmitsDeterministicQueryLatency) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path_a = dir + "/p3q_openloop_a.json";
-  const std::string path_b = dir + "/p3q_openloop_b.json";
+  const std::string path_a = test::ScratchPath("p3q_openloop_a.json");
+  const std::string path_b = test::ScratchPath("p3q_openloop_b.json");
   const std::string args =
       "--scenario=open-loop-steady --arrival-rate=1.5 --users=80 "
       "--cycle-scale=0.25 --seed=5 ";
@@ -260,12 +284,11 @@ TEST(P3qSimScenarioCli, ArrivalRateRunEmitsDeterministicQueryLatency) {
 }
 
 TEST(P3qSimScenarioCli, TraceIsByteIdenticalAcrossThreadsAndObservationOnly) {
-  const std::string dir = ::testing::TempDir();
-  const std::string trace1 = dir + "/p3q_trace_t1.jsonl";
-  const std::string trace2 = dir + "/p3q_trace_t2.jsonl";
-  const std::string trace8 = dir + "/p3q_trace_t8.jsonl";
-  const std::string plain_json = dir + "/p3q_trace_plain.json";
-  const std::string traced_json = dir + "/p3q_trace_traced.json";
+  const std::string trace1 = test::ScratchPath("p3q_trace_t1.jsonl");
+  const std::string trace2 = test::ScratchPath("p3q_trace_t2.jsonl");
+  const std::string trace8 = test::ScratchPath("p3q_trace_t8.jsonl");
+  const std::string plain_json = test::ScratchPath("p3q_trace_plain.json");
+  const std::string traced_json = test::ScratchPath("p3q_trace_traced.json");
   const std::string args =
       "--scenario=steady-state --users=60 --cycle-scale=0.2 --seed=5 ";
   ASSERT_EQ(RunCli(args + "--threads=1 --trace=\"" + trace1 + "\" --json=\"" +
@@ -310,9 +333,8 @@ TEST(P3qSimScenarioCli, ObservabilityFlagsAreValidated) {
 }
 
 TEST(P3qSimScenarioCli, ChromeTraceAndProfileAreWellFormed) {
-  const std::string dir = ::testing::TempDir();
-  const std::string trace = dir + "/p3q_chrome.json";
-  const std::string profile = dir + "/p3q_profile.json";
+  const std::string trace = test::ScratchPath("p3q_chrome.json");
+  const std::string profile = test::ScratchPath("p3q_profile.json");
   ASSERT_EQ(RunCli("--scenario=steady-state --users=60 --cycle-scale=0.2 "
                    "--seed=5 --trace=\"" +
                    trace + "\" --trace-format=chrome --profile=\"" + profile +
@@ -333,8 +355,7 @@ TEST(P3qSimScenarioCli, ChromeTraceAndProfileAreWellFormed) {
 }
 
 TEST(P3qSimScenarioCli, ArrivalSweepWritesTheSweepReport) {
-  const std::string dir = ::testing::TempDir();
-  const std::string path = dir + "/p3q_sweep.json";
+  const std::string path = test::ScratchPath("p3q_sweep.json");
   ASSERT_EQ(RunCli("--scenario=open-loop-saturation --arrival-sweep=1:3:2 "
                    "--users=80 --cycle-scale=0.25 --seed=5 --json=\"" +
                    path + "\""),

@@ -359,8 +359,8 @@ TEST(ScenarioGoldenReport, LossyFlashCrowdLagHistogramMatchesGolden) {
   EXPECT_EQ(d.lag_histogram[1], 117u);
   EXPECT_EQ(d.lag_histogram[2], 106u);
   EXPECT_EQ(d.lag_histogram[3], 107u);
-  EXPECT_EQ(d.LagPercentile(0.50), 1.0);
-  EXPECT_EQ(d.LagPercentile(0.95), 3.0);
+  EXPECT_EQ(d.lag_histogram.Percentile(0.50).value, 1.0);
+  EXPECT_EQ(d.lag_histogram.Percentile(0.95).value, 3.0);
 }
 
 TEST(ScenarioModel, ValidateCatchesBadLatency) {

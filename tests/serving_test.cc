@@ -115,8 +115,8 @@ TEST(ArrivalProcess, NoneSpecNeverArrivesAndBadSpecThrows) {
 TEST(QueryLatencyStatsTest, PercentilesAndSloCounting) {
   QueryLatencyStats stats;
   EXPECT_TRUE(stats.Empty());
-  EXPECT_EQ(stats.CompletionPercentile(0.5).value, -1.0);
-  EXPECT_FALSE(stats.CompletionPercentile(0.5).lower_bound);
+  EXPECT_EQ(stats.completion_histogram.Percentile(0.5).value, -1.0);
+  EXPECT_FALSE(stats.completion_histogram.Percentile(0.5).lower_bound);
 
   for (int i = 0; i < 6; ++i) stats.RecordCompletion(1, /*slo_cycles=*/8);
   for (int i = 0; i < 3; ++i) stats.RecordCompletion(8, /*slo_cycles=*/8);
@@ -124,9 +124,9 @@ TEST(QueryLatencyStatsTest, PercentilesAndSloCounting) {
   EXPECT_EQ(stats.completed, 10u);
   // Latency == SLO counts as within; SLO + 1 does not.
   EXPECT_EQ(stats.completed_within_slo, 9u);
-  EXPECT_EQ(stats.CompletionPercentile(0.50).value, 1.0);
-  EXPECT_EQ(stats.CompletionPercentile(0.90).value, 8.0);
-  EXPECT_FALSE(stats.CompletionPercentile(0.90).lower_bound);
+  EXPECT_EQ(stats.completion_histogram.Percentile(0.50).value, 1.0);
+  EXPECT_EQ(stats.completion_histogram.Percentile(0.90).value, 8.0);
+  EXPECT_FALSE(stats.completion_histogram.Percentile(0.90).lower_bound);
 }
 
 TEST(QueryLatencyStatsTest, FinalBucketReportsAsFlaggedLowerBound) {
@@ -136,14 +136,14 @@ TEST(QueryLatencyStatsTest, FinalBucketReportsAsFlaggedLowerBound) {
   stats.RecordCompletion(kQueryLatencyBuckets - 1, /*slo_cycles=*/8);
   stats.RecordCompletion(100000, /*slo_cycles=*/8);
   EXPECT_EQ(stats.completion_histogram[kQueryLatencyBuckets - 1], 2u);
-  const PercentileValue p = stats.CompletionPercentile(0.99);
+  const PercentileValue p = stats.completion_histogram.Percentile(0.99);
   EXPECT_EQ(p.value, static_cast<double>(kQueryLatencyBuckets - 1));
   EXPECT_TRUE(p.lower_bound);
 
   // A latency one below the final bucket is counted exactly, unflagged.
   QueryLatencyStats exact;
   exact.RecordCompletion(kQueryLatencyBuckets - 2, /*slo_cycles=*/8);
-  const PercentileValue q = exact.CompletionPercentile(0.99);
+  const PercentileValue q = exact.completion_histogram.Percentile(0.99);
   EXPECT_EQ(q.value, static_cast<double>(kQueryLatencyBuckets - 2));
   EXPECT_FALSE(q.lower_bound);
 }
@@ -179,25 +179,23 @@ TEST(QueryLatencyStatsTest, MergeAndSince) {
 }
 
 // The delivery-lag mirror of the final-bucket fix: a lag landing in the
-// clamped last bucket must be reported as a flagged lower bound, while the
-// plain LagPercentile value is unchanged for existing callers.
+// clamped last bucket must be reported as a flagged lower bound.
 TEST(DeliveryStatsTest, LagPercentileFlagsClampedFinalBucket) {
   DeliveryStats stats;
   stats.RecordDelivery(kDeliveryLagBuckets + 50);  // clamps
-  const PercentileValue clamped = stats.LagPercentileBound(0.5);
+  const PercentileValue clamped = stats.lag_histogram.Percentile(0.5);
   EXPECT_EQ(clamped.value, static_cast<double>(kDeliveryLagBuckets - 1));
   EXPECT_TRUE(clamped.lower_bound);
-  EXPECT_EQ(stats.LagPercentile(0.5), clamped.value);
 
   DeliveryStats exact;
   exact.RecordDelivery(kDeliveryLagBuckets - 2);
-  const PercentileValue unflagged = exact.LagPercentileBound(0.5);
+  const PercentileValue unflagged = exact.lag_histogram.Percentile(0.5);
   EXPECT_EQ(unflagged.value, static_cast<double>(kDeliveryLagBuckets - 2));
   EXPECT_FALSE(unflagged.lower_bound);
 
   DeliveryStats empty;
-  EXPECT_EQ(empty.LagPercentileBound(0.5).value, -1.0);
-  EXPECT_FALSE(empty.LagPercentileBound(0.5).lower_bound);
+  EXPECT_EQ(empty.lag_histogram.Percentile(0.5).value, -1.0);
+  EXPECT_FALSE(empty.lag_histogram.Percentile(0.5).lower_bound);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,10 +316,10 @@ TEST(OpenLoopSteady, LatencyStatsMatchGolden) {
   EXPECT_EQ(q.completion_histogram[0], 17u);
   EXPECT_EQ(q.completion_histogram[1], 10u);
   EXPECT_EQ(q.completion_histogram[2], 10u);
-  EXPECT_EQ(q.CompletionPercentile(0.50).value, 1.0);
-  EXPECT_EQ(q.CompletionPercentile(0.95).value, 2.0);
-  EXPECT_EQ(q.CompletionPercentile(0.99).value, 2.0);
-  EXPECT_EQ(q.FirstResultPercentile(0.50).value, 1.0);
+  EXPECT_EQ(q.completion_histogram.Percentile(0.50).value, 1.0);
+  EXPECT_EQ(q.completion_histogram.Percentile(0.95).value, 2.0);
+  EXPECT_EQ(q.completion_histogram.Percentile(0.99).value, 2.0);
+  EXPECT_EQ(q.first_result_histogram.Percentile(0.50).value, 1.0);
 }
 
 TEST(OpenLoopSaturation, TailLatencyGrowsWithTheArrivalRate) {
@@ -342,8 +340,9 @@ TEST(OpenLoopSaturation, TailLatencyGrowsWithTheArrivalRate) {
   EXPECT_GT(high.total_query_latency.issued, low.total_query_latency.issued);
   // Past the capacity knee queries queue behind the per-node gossip budget,
   // so the tail latency must not improve as load rises.
-  EXPECT_GE(high.total_query_latency.CompletionPercentile(0.99).value,
-            low.total_query_latency.CompletionPercentile(0.99).value);
+  EXPECT_GE(
+      high.total_query_latency.completion_histogram.Percentile(0.99).value,
+      low.total_query_latency.completion_histogram.Percentile(0.99).value);
   EXPECT_GE(high.total_query_latency.abandoned,
             low.total_query_latency.abandoned);
 }

@@ -10,10 +10,18 @@
 #ifndef P3Q_TESTS_TEST_UTIL_H_
 #define P3Q_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "baseline/ideal_network.h"
 #include "core/config.h"
@@ -24,6 +32,30 @@
 #include "profile/profile.h"
 
 namespace p3q::test {
+
+/// `name` inside a scratch directory private to this test process: made
+/// with mkdtemp under ::testing::TempDir() on first use and removed, with
+/// everything left in it, when the process exits. ctest runs every test
+/// case as its own process, several at once, so fixed file names in a
+/// shared directory would collide.
+inline std::string ScratchPath(const std::string& name) {
+  struct Dir {
+    std::string path;
+    Dir() {
+      std::string pattern = ::testing::TempDir() + "p3q_test_XXXXXX";
+      if (::mkdtemp(pattern.data()) == nullptr) {
+        throw std::runtime_error("mkdtemp failed for " + pattern);
+      }
+      path = pattern + "/";
+    }
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Dir dir;
+  return dir.path + name;
+}
 
 /// A delicious-like synthetic trace at test scale, fully determined by
 /// (users, seed).

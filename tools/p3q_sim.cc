@@ -120,10 +120,13 @@ struct Options {
   std::optional<std::uint64_t> checkpoint_at;  // --checkpoint-at=CYCLE
   std::string checkpoint_path;                 // --checkpoint=FILE
   std::string resume_path;                     // --resume=FILE
-  // The arrival override the snapshot was written with (filled from the
-  // checkpoint header when resuming, never from a flag).
-  std::optional<p3q::ArrivalSpec> resume_arrivals;
 };
+
+/// The flags that set a scenario run's result-affecting options; --resume
+/// takes all of those from the snapshot instead.
+constexpr const char* kRunIdentityFlags[] = {
+    "--users", "--seed", "--s", "--c", "--alpha", "--k", "--similarity",
+    "--cycle-scale"};
 
 void PrintUsage() {
   std::cout <<
@@ -286,8 +289,12 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
   Options opt;
   std::string latency_text;
   std::optional<double> loss;
+  std::string identity_flag;  // the last run-identity flag given
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    for (const char* flag : kRunIdentityFlags) {
+      if (ParseFlag(argv[i], flag, &value)) identity_flag = flag;
+    }
     if (ParseFlag(argv[i], "--help", &value)) {
       opt.help = true;
     } else if (ParseFlag(argv[i], "--users", &value)) {
@@ -562,6 +569,12 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
                    "snapshot; drop --latency/--loss\n";
       return std::nullopt;
     }
+    if (!identity_flag.empty()) {
+      std::cerr << "--resume restores the run's options from the snapshot; "
+                   "drop "
+                << identity_flag << "\n";
+      return std::nullopt;
+    }
     if (opt.converge > 0) {
       std::cerr << "--converge applies to the classic pipeline, not "
                    "--resume\n";
@@ -586,9 +599,9 @@ p3q::ArrivalSpec OverrideArrivals(const p3q::Scenario& scenario, double rate) {
   return spec;
 }
 
-/// The runner options a CLI invocation maps to (shared between the single
-/// run and the sweep).
-p3q::ScenarioRunnerOptions MakeRunnerOptions(const Options& opt) {
+/// The result-affecting runner options the flags select (a resumed run
+/// reads them from the snapshot instead).
+p3q::ScenarioRunnerOptions FlagRunIdentity(const Options& opt) {
   p3q::ScenarioRunnerOptions options;
   options.users = opt.users;
   options.seed = opt.seed;
@@ -598,8 +611,16 @@ p3q::ScenarioRunnerOptions MakeRunnerOptions(const Options& opt) {
   options.alpha = opt.alpha;
   options.top_k = opt.top_k;
   options.similarity = opt.similarity;
-  options.threads = opt.threads;
   options.latency = opt.latency;  // unset = the scenario's own model
+  return options;
+}
+
+/// The runner options of one run: the result-affecting `identity` plus the
+/// flags that never change results.
+p3q::ScenarioRunnerOptions MakeRunnerOptions(
+    const Options& opt, p3q::ScenarioRunnerOptions identity) {
+  p3q::ScenarioRunnerOptions options = std::move(identity);
+  options.threads = opt.threads;
   options.progress_every = opt.progress_every;
   options.checkpoint_at = opt.checkpoint_at;
   options.checkpoint_path = opt.checkpoint_path;
@@ -674,10 +695,12 @@ bool CloseObsSession(const Options& opt, ObsSession* obs) {
   return true;
 }
 
-/// Runs a named scenario timeline and prints/writes its report.
-int RunScenarioMode(const Options& opt) {
+/// Runs a named scenario timeline with the result-affecting options
+/// `identity` and prints/writes its report.
+int RunScenarioMode(const Options& opt,
+                    const p3q::ScenarioRunnerOptions& identity) {
   using namespace p3q;
-  ScenarioRunnerOptions options = MakeRunnerOptions(opt);
+  ScenarioRunnerOptions options = MakeRunnerOptions(opt, identity);
 
   ObsSession obs;
   if (!OpenObsSession(opt, &obs)) return 1;
@@ -689,21 +712,19 @@ int RunScenarioMode(const Options& opt) {
     options.arrivals = OverrideArrivals(scenario, *opt.arrival_rate);
   }
   if (!opt.resume_path.empty()) {
-    // The arrival override of the original run, read from the snapshot.
-    options.arrivals = opt.resume_arrivals;
     std::cout << "resuming from: " << opt.resume_path << "\n";
   }
   std::cout << "scenario: " << scenario.name << " — " << scenario.description
-            << "\nusers: " << opt.users << ", seed: " << opt.seed
-            << ", cycle scale: " << opt.cycle_scale;
+            << "\nusers: " << options.users << ", seed: " << options.seed
+            << ", cycle scale: " << options.cycle_scale;
   if (options.arrivals.has_value()) {
     std::cout << ", arrivals: " << options.arrivals->Name();
   }
-  if (opt.similarity != SimilarityMetric::kCommonActions) {
-    std::cout << ", similarity: " << SimilarityMetricName(opt.similarity);
+  if (options.similarity != SimilarityMetric::kCommonActions) {
+    std::cout << ", similarity: " << SimilarityMetricName(options.similarity);
   }
   const LatencySpec effective_latency =
-      opt.latency.value_or(scenario.latency);
+      options.latency.value_or(scenario.latency);
   if (!effective_latency.IsZero()) {
     std::cout << ", latency: " << effective_latency.Name();
   }
@@ -754,23 +775,26 @@ int RunScenarioMode(const Options& opt) {
     std::cout << "delivery: " << d.enqueued << " sent, " << d.delivered
               << " delivered, " << d.dropped << " dropped, "
               << d.stale_dropped << " stale, lag p50/p95 "
-              << TablePrinter::Fmt(d.LagPercentile(0.50), 1) << "/"
-              << TablePrinter::Fmt(d.LagPercentile(0.95), 1)
+              << TablePrinter::Fmt(d.lag_histogram.Percentile(0.50).value, 1)
+              << "/"
+              << TablePrinter::Fmt(d.lag_histogram.Percentile(0.95).value, 1)
               << " cycles, peak in flight " << d.max_in_flight << "\n";
   }
   if (report.open_loop) {
     const QueryLatencyStats& q = report.total_query_latency;
-    const PercentileValue p99 = q.CompletionPercentile(0.99);
+    const PercentileValue p50 = q.completion_histogram.Percentile(0.50);
+    const PercentileValue p95 = q.completion_histogram.Percentile(0.95);
+    const PercentileValue p99 = q.completion_histogram.Percentile(0.99);
+    const PercentileValue fr50 = q.first_result_histogram.Percentile(0.50);
     std::cout << "serving: " << q.issued << " issued, " << q.completed
               << " completed (" << q.completed_within_slo << " within SLO of "
               << report.slo_cycles << " cycles), " << q.abandoned
               << " abandoned; latency p50/p95/p99 "
-              << TablePrinter::Fmt(q.CompletionPercentile(0.50).value, 1)
-              << "/" << TablePrinter::Fmt(q.CompletionPercentile(0.95).value, 1)
-              << "/" << TablePrinter::Fmt(p99.value, 1)
+              << TablePrinter::Fmt(p50.value, 1) << "/"
+              << TablePrinter::Fmt(p95.value, 1) << "/"
+              << TablePrinter::Fmt(p99.value, 1)
               << (p99.lower_bound ? "+" : "") << " cycles, first result p50 "
-              << TablePrinter::Fmt(q.FirstResultPercentile(0.50).value, 1)
-              << "\n";
+              << TablePrinter::Fmt(fr50.value, 1) << "\n";
   }
   if (opt.timing) {
     const MemoryReport& m = report.memory;
@@ -839,7 +863,8 @@ int RunSweepMode(const Options& opt) {
 
   bool first = true;
   for (double rate = sweep.lo; rate <= sweep.hi + 1e-9; rate += sweep.step) {
-    ScenarioRunnerOptions options = MakeRunnerOptions(opt);
+    ScenarioRunnerOptions options =
+        MakeRunnerOptions(opt, FlagRunIdentity(opt));
     options.arrivals = OverrideArrivals(scenario, rate);
     ScenarioReport report;
     try {
@@ -849,10 +874,10 @@ int RunSweepMode(const Options& opt) {
       return 1;
     }
     const QueryLatencyStats& q = report.total_query_latency;
-    const PercentileValue p50 = q.CompletionPercentile(0.50);
-    const PercentileValue p95 = q.CompletionPercentile(0.95);
-    const PercentileValue p99 = q.CompletionPercentile(0.99);
-    const PercentileValue fr50 = q.FirstResultPercentile(0.50);
+    const PercentileValue p50 = q.completion_histogram.Percentile(0.50);
+    const PercentileValue p95 = q.completion_histogram.Percentile(0.95);
+    const PercentileValue p99 = q.completion_histogram.Percentile(0.99);
+    const PercentileValue fr50 = q.first_result_histogram.Percentile(0.50);
     const double goodput =
         report.total_cycles == 0
             ? 0.0
@@ -935,34 +960,25 @@ int main(int argc, char** argv) {
   if (!opt.resume_path.empty()) {
     // Reconstruct the original run from the snapshot's identity header; the
     // runner re-verifies every field against the payload it restores.
+    p3q::CheckpointRunInfo info;
     try {
-      const p3q::CheckpointRunInfo info =
-          p3q::ReadScenarioCheckpointInfo(opt.resume_path);
-      if (!p3q::HasScenario(info.scenario)) {
-        std::cerr << "cannot resume: checkpoint names unknown scenario '"
-                  << info.scenario << "' (see --list-scenarios)\n";
-        return 1;
-      }
-      opt.scenario = info.scenario;
-      opt.users = info.users;
-      opt.seed = info.seed;
-      opt.cycle_scale = info.cycle_scale;
-      opt.network_size = info.network_size;
-      opt.stored = info.stored_profiles;
-      opt.alpha = info.alpha;
-      opt.top_k = info.top_k;
-      opt.similarity = info.similarity;
-      opt.latency = info.latency;
-      opt.resume_arrivals = info.arrivals;
+      info = p3q::ReadScenarioCheckpointInfo(opt.resume_path);
     } catch (const p3q::CheckpointError& e) {
       std::cerr << "cannot resume: " << e.what() << "\n";
       return 1;
     }
-    return RunScenarioMode(opt);
+    if (!p3q::HasScenario(info.scenario)) {
+      std::cerr << "cannot resume: checkpoint names unknown scenario '"
+                << info.scenario << "' (see --list-scenarios)\n";
+      return 1;
+    }
+    opt.scenario = info.scenario;
+    return RunScenarioMode(opt, info.options);
   }
   if (!opt.scenario.empty()) {
-    return opt.arrival_sweep.has_value() ? RunSweepMode(opt)
-                                         : RunScenarioMode(opt);
+    return opt.arrival_sweep.has_value()
+               ? RunSweepMode(opt)
+               : RunScenarioMode(opt, FlagRunIdentity(opt));
   }
 
   using namespace p3q;
