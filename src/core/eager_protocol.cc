@@ -153,7 +153,6 @@ bool EagerProtocol::PlanGossip(const P3QNode* node, const EagerTask& task,
   }
   if (!found_owners.empty()) {
     g.partial = BuildPartialResult(found_profiles, found_owners, task.tags);
-    g.has_partial = true;
   }
 
   // Split the pruned list: α back to the initiator, 1-α kept by the
@@ -179,8 +178,8 @@ bool EagerProtocol::PlanGossip(const P3QNode* node, const EagerTask& task,
   traffic.Record(MessageType::kEagerQueryForward, g.fwd_bytes);
   traffic.Record(MessageType::kEagerQueryReturn,
                  g.returned.size() * kBytesPerUserId + kBytesPerUserId);
-  if (g.has_partial) {
-    traffic.Record(MessageType::kPartialResult, g.partial.WireBytes());
+  if (g.partial.has_value()) {
+    traffic.Record(MessageType::kPartialResult, g.partial->WireBytes());
   }
   if (Tracer* tracer = system_->tracer(); tracer != nullptr) {
     TraceEvent event;
@@ -317,11 +316,11 @@ void EagerProtocol::CommitGossip(P3QNode* node, std::uint64_t send_cycle,
   state.reached.insert(g->dest);
 
   // The destination's share of the query.
-  if (g->has_partial) {
-    const std::size_t bytes = g->partial.WireBytes();
+  if (g->partial.has_value()) {
+    const std::size_t bytes = g->partial->WireBytes();
     state.query->traffic().partial_result_bytes += bytes;
     state.query->traffic().partial_result_messages += 1;
-    state.query->DeliverPartialResult(std::move(g->partial));
+    state.query->DeliverPartialResult(std::move(*g->partial));
   }
 
   // The kept portion becomes (or extends) the destination's task.
@@ -460,162 +459,33 @@ const EagerProtocol::QueryState& EagerProtocol::StateOrThrow(
   return const_cast<EagerProtocol*>(this)->StateOrThrow(id);
 }
 
-namespace {
-
-void WritePartialResult(CheckpointWriter* out,
-                        const PartialResultMessage& message) {
-  out->U64(message.entries.size());
-  for (const auto& [item, score] : message.entries) {
-    out->U32(item);
-    out->U32(score);
-  }
-  out->U64(message.used_profiles.size());
-  for (UserId u : message.used_profiles) out->U32(u);
-}
-
-PartialResultMessage ReadPartialResult(CheckpointReader* in) {
-  PartialResultMessage message;
-  const std::uint64_t num_entries = in->Count(8);
-  message.entries.reserve(static_cast<std::size_t>(num_entries));
-  for (std::uint64_t e = 0; e < num_entries; ++e) {
-    const ItemId item = in->U32();
-    const std::uint32_t score = in->U32();
-    message.entries.emplace_back(item, score);
-  }
-  const std::uint64_t num_used = in->Count(4);
-  message.used_profiles.reserve(static_cast<std::size_t>(num_used));
-  for (std::uint64_t u = 0; u < num_used; ++u) {
-    message.used_profiles.push_back(in->U32());
-  }
-  return message;
-}
-
-}  // namespace
-
 void EagerProtocol::EncodeMessage(const DeliveryMessage& message,
-                                  CheckpointWriter* out,
-                                  ProfilePool* pool) const {
-  const auto& gossip = static_cast<const TaskGossipMessage&>(message);
-  out->U64(gossip.gossips.size());
-  for (const PlannedGossip& g : gossip.gossips) {
-    out->U64(g.query_id);
-    out->U32(g.dest);
-    out->U64(g.epoch);
-    out->U32(g.generation);
-    out->U64(g.consumed);
-    out->U64(g.fwd_bytes);
-    out->U8(g.has_partial ? 1 : 0);
-    if (g.has_partial) WritePartialResult(out, g.partial);
-    out->U64(g.returned.size());
-    for (UserId u : g.returned) out->U32(u);
-    out->U64(g.kept.size());
-    for (UserId u : g.kept) out->U32(u);
-    LazyProtocol::EncodeExchangePlan(g.exchange, out, pool);
-  }
+                                  CheckpointWriter* out) const {
+  out->Put(static_cast<const TaskGossipMessage&>(message));
 }
 
 std::unique_ptr<DeliveryMessage> EagerProtocol::DecodeMessage(
-    CheckpointReader* in, const ProfileTable& profiles) const {
+    CheckpointReader* in) const {
   auto message = std::make_unique<TaskGossipMessage>();
-  const std::uint64_t num_gossips = in->Count(48);
-  message->gossips.reserve(static_cast<std::size_t>(num_gossips));
-  for (std::uint64_t i = 0; i < num_gossips; ++i) {
-    PlannedGossip g;
-    g.query_id = in->U64();
-    g.dest = in->U32();
-    g.epoch = in->U64();
-    g.generation = in->U32();
-    g.consumed = static_cast<std::size_t>(in->U64());
-    g.fwd_bytes = static_cast<std::size_t>(in->U64());
-    g.has_partial = in->U8() != 0;
-    if (g.has_partial) g.partial = ReadPartialResult(in);
-    const std::uint64_t num_returned = in->Count(4);
-    g.returned.reserve(static_cast<std::size_t>(num_returned));
-    for (std::uint64_t r = 0; r < num_returned; ++r) {
-      g.returned.push_back(in->U32());
-    }
-    const std::uint64_t num_kept = in->Count(4);
-    g.kept.reserve(static_cast<std::size_t>(num_kept));
-    for (std::uint64_t k = 0; k < num_kept; ++k) g.kept.push_back(in->U32());
-    g.exchange = LazyProtocol::DecodeExchangePlan(in, profiles);
-    message->gossips.push_back(std::move(g));
-  }
+  in->Get(message.get());
   return message;
 }
 
-void EagerProtocol::SaveState(CheckpointWriter* out) const {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(state_.size());
-  for (const auto& [id, state] : state_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  out->U64(ids.size());
-  for (std::uint64_t id : ids) {
-    const QueryState& state = state_.at(id);
-    state.query->SaveState(out);
-    std::vector<UserId> reached(state.reached.begin(), state.reached.end());
-    std::sort(reached.begin(), reached.end());
-    out->U64(reached.size());
-    for (UserId u : reached) out->U32(u);
-    out->I64(state.active_tasks);
-    out->U8(state.finalized ? 1 : 0);
+void EagerProtocol::QueryState::FinishLoad() const {
+  if (active_tasks < 0) {
+    throw CheckpointError("eager query " + std::to_string(query->id()) +
+                          " has a negative active task count");
   }
-  out->U64(timeout_reissues_);
-  out->U64(stale_messages_dropped_);
-  out->U64(forgotten_late_results_);
-  out->U64(next_id_);
-  out->U64(next_epoch_);
-  out->Sentinel();
 }
 
-void EagerProtocol::LoadState(CheckpointReader* in) {
-  // Participants and shard mailboxes are intra-cycle scratch — empty at
-  // every barrier, so a freshly constructed protocol starts them empty.
-  std::unordered_map<std::uint64_t, QueryState> loaded;
-  const std::uint64_t num_queries = in->Count(64);
-  std::uint64_t max_id = 0;
-  std::uint64_t prev_id = 0;
-  for (std::uint64_t q = 0; q < num_queries; ++q) {
-    auto query = std::make_unique<ActiveQuery>(ActiveQuery::LoadState(in));
-    const std::uint64_t id = query->id();
-    if (q > 0 && id <= prev_id) {
-      throw CheckpointError("eager query ids out of order in checkpoint");
+void EagerProtocol::FinishLoad() const {
+  for (const auto& [id, state] : state_) {
+    if (id >= next_id_) {
+      throw CheckpointError("eager query id " + std::to_string(id) +
+                            " collides with the next-id allocator (" +
+                            std::to_string(next_id_) + ")");
     }
-    prev_id = id;
-    max_id = id;
-    QueryState state;
-    state.query = std::move(query);
-    const std::uint64_t num_reached = in->Count(4);
-    for (std::uint64_t r = 0; r < num_reached; ++r) {
-      state.reached.insert(in->U32());
-    }
-    const std::int64_t active_tasks = in->I64();
-    if (active_tasks < 0) {
-      throw CheckpointError("eager query " + std::to_string(id) +
-                            " has a negative active task count");
-    }
-    state.active_tasks = static_cast<int>(active_tasks);
-    state.finalized = in->U8() != 0;
-    loaded.emplace(id, std::move(state));
   }
-  const std::uint64_t timeout_reissues = in->U64();
-  const std::uint64_t stale_dropped = in->U64();
-  const std::uint64_t forgotten_late = in->U64();
-  const std::uint64_t next_id = in->U64();
-  const std::uint64_t next_epoch = in->U64();
-  in->Sentinel("eager protocol");
-  if (num_queries > 0 && max_id >= next_id) {
-    throw CheckpointError("eager query id " + std::to_string(max_id) +
-                          " collides with the next-id allocator (" +
-                          std::to_string(next_id) + ")");
-  }
-  state_ = std::move(loaded);
-  participants_.clear();
-  shard_reissues_.fill(0);
-  timeout_reissues_ = timeout_reissues;
-  stale_messages_dropped_ = stale_dropped;
-  forgotten_late_results_ = forgotten_late;
-  next_id_ = next_id;
-  next_epoch_ = next_epoch;
 }
 
 }  // namespace p3q

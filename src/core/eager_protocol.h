@@ -39,6 +39,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -116,18 +117,27 @@ class EagerProtocol : public CycleProtocol {
   std::uint64_t late_partial_results_dropped() const;
 
   /// Checkpoint codec for in-flight task gossip messages.
-  void EncodeMessage(const DeliveryMessage& message, CheckpointWriter* out,
-                     ProfilePool* pool) const override;
+  void EncodeMessage(const DeliveryMessage& message,
+                     CheckpointWriter* out) const override;
   std::unique_ptr<DeliveryMessage> DecodeMessage(
-      CheckpointReader* in, const ProfileTable& profiles) const override;
+      CheckpointReader* in) const override;
 
-  /// Serializes the protocol-level query state: per-query ActiveQuery +
+  /// The checkpointed protocol-level query state: per-query ActiveQuery +
   /// reach/task bookkeeping, the counters, and the id/epoch allocators.
-  /// (Per-node EagerTasks live with the nodes, saved by P3QSystem.)
-  void SaveState(CheckpointWriter* out) const;
-
-  /// Restores state written by SaveState, replacing current contents.
-  void LoadState(CheckpointReader* in);
+  /// (Per-node EagerTasks live with the nodes.) Participants and shard
+  /// mailboxes are intra-cycle scratch, empty at every barrier. The load
+  /// hook rejects a query id the next-id allocator would hand out again.
+  static constexpr const char* kCheckpointSection = "eager protocol";
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.state_...);
+    f(s.timeout_reissues_...);
+    f(s.stale_messages_dropped_...);
+    f(s.forgotten_late_results_...);
+    f(s.next_id_...);
+    f(s.next_epoch_...);
+  }
+  void FinishLoad() const;
 
  private:
   struct QueryState {
@@ -135,7 +145,18 @@ class EagerProtocol : public CycleProtocol {
     std::unordered_set<UserId> reached;
     int active_tasks = 0;     ///< nodes currently holding a non-empty list
     bool finalized = false;   ///< completion snapshot already recorded
+
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.query...);
+      f(s.reached...);
+      f(s.active_tasks...);
+      f(s.finalized...);
+    }
+    /// Checkpoint load hook: rejects a negative active task count.
+    void FinishLoad() const;
   };
+  friend struct CheckpointTraits<QueryState>;
 
   /// One planned gossip of a task (Algorithm 3 both roles, decided against
   /// frozen state).
@@ -153,17 +174,35 @@ class EagerProtocol : public CycleProtocol {
     /// task after planning are preserved.
     std::size_t consumed = 0;
     std::size_t fwd_bytes = 0;
-    bool has_partial = false;
-    PartialResultMessage partial;
+    std::optional<PartialResultMessage> partial;
     std::vector<UserId> returned;  ///< α portion, back to this node's task
     std::vector<UserId> kept;      ///< 1-α portion, becomes the dest's task
     ProfileExchangePlan exchange;  ///< piggybacked maintenance
+
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.query_id...);
+      f(s.dest...);
+      f(s.epoch...);
+      f(s.generation...);
+      f(s.consumed...);
+      f(s.fwd_bytes...);
+      f(s.partial...);
+      f(s.returned...);
+      f(s.kept...);
+      f(s.exchange...);
+    }
   };
 
   /// One cycle's gossips of one node, travelling through the delivery
   /// layer as a self-contained message.
   struct TaskGossipMessage : DeliveryMessage {
     std::vector<PlannedGossip> gossips;  ///< one per task, query-id order
+
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.gossips...);
+    }
   };
 
   /// Algorithm 3 lines 4-9: remaining-list member that is also a
@@ -207,6 +246,15 @@ class EagerProtocol : public CycleProtocol {
   std::uint64_t forgotten_late_results_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_epoch_ = 1;  ///< unique EagerTask incarnation ids
+};
+
+/// The query table is keyed by the id each query carries.
+template <>
+struct CheckpointTraits<EagerProtocol::QueryState> {
+  static constexpr const char* kNoun = "eager query";
+  static std::uint64_t KeyOf(const EagerProtocol::QueryState& state) {
+    return state.query->id();
+  }
 };
 
 }  // namespace p3q

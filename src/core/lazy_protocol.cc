@@ -339,93 +339,23 @@ void LazyProtocol::EndPlan(std::uint64_t /*cycle*/) {
   system_->network().MergeShardTraffic();
 }
 
-void LazyProtocol::EncodeExchangePlan(const ProfileExchangePlan& plan,
-                                      CheckpointWriter* out,
-                                      ProfilePool* pool) {
-  out->U32(plan.a);
-  out->U32(plan.b);
-  for (const std::vector<ProfileExchangeOffer>* offers :
-       {&plan.offers_to_b, &plan.offers_to_a}) {
-    out->U64(offers->size());
-    for (const ProfileExchangeOffer& offer : *offers) {
-      out->U64(offer.score);
-      WriteDigestInfo(out, pool, offer.digest);
-      out->U64(offer.rest_bytes);
-    }
-  }
-}
-
-ProfileExchangePlan LazyProtocol::DecodeExchangePlan(
-    CheckpointReader* in, const ProfileTable& profiles) {
-  ProfileExchangePlan plan;
-  plan.a = in->U32();
-  plan.b = in->U32();
-  for (std::vector<ProfileExchangeOffer>* offers :
-       {&plan.offers_to_b, &plan.offers_to_a}) {
-    const std::uint64_t count = in->Count(24);
-    offers->reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ProfileExchangeOffer offer;
-      offer.score = in->U64();
-      offer.digest = ReadDigestInfo(in, profiles);
-      offer.rest_bytes = in->U64();
-      offers->push_back(std::move(offer));
-    }
-  }
-  if (plan.Planned() && plan.b == kInvalidUser) {
+void ProfileExchangePlan::FinishLoad() const {
+  if (Planned() && b == kInvalidUser) {
     throw CheckpointError(
         "corrupt checkpoint: profile exchange with only one endpoint");
   }
-  return plan;
 }
 
 void LazyProtocol::EncodeMessage(const DeliveryMessage& message,
-                                 CheckpointWriter* out,
-                                 ProfilePool* pool) const {
-  const auto& plan = static_cast<const GossipMessage&>(message);
-  out->U64(plan.view_removals.size());
-  for (UserId u : plan.view_removals) out->U32(u);
-  out->U32(plan.bottom_peer);
-  for (const std::vector<DigestInfo>* payload :
-       {&plan.send_payload, &plan.recv_payload}) {
-    out->U64(payload->size());
-    for (const DigestInfo& d : *payload) WriteDigestInfo(out, pool, d);
-  }
-  out->U64(plan.probes.size());
-  for (const PlannedProbe& probe : plan.probes) {
-    out->U64(probe.score);
-    WriteDigestInfo(out, pool, probe.digest);
-  }
-  EncodeExchangePlan(plan.exchange, out, pool);
+                                 CheckpointWriter* out) const {
+  out->Put(static_cast<const GossipMessage&>(message));
 }
 
 std::unique_ptr<DeliveryMessage> LazyProtocol::DecodeMessage(
-    CheckpointReader* in, const ProfileTable& profiles) const {
-  auto plan = std::make_unique<GossipMessage>();
-  const std::uint64_t num_removals = in->Count(4);
-  plan->view_removals.reserve(static_cast<std::size_t>(num_removals));
-  for (std::uint64_t i = 0; i < num_removals; ++i) {
-    plan->view_removals.push_back(in->U32());
-  }
-  plan->bottom_peer = in->U32();
-  for (std::vector<DigestInfo>* payload :
-       {&plan->send_payload, &plan->recv_payload}) {
-    const std::uint64_t count = in->Count(8);
-    payload->reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      payload->push_back(ReadDigestInfo(in, profiles));
-    }
-  }
-  const std::uint64_t num_probes = in->Count(16);
-  plan->probes.reserve(static_cast<std::size_t>(num_probes));
-  for (std::uint64_t i = 0; i < num_probes; ++i) {
-    PlannedProbe probe;
-    probe.score = in->U64();
-    probe.digest = ReadDigestInfo(in, profiles);
-    plan->probes.push_back(std::move(probe));
-  }
-  plan->exchange = DecodeExchangePlan(in, profiles);
-  return plan;
+    CheckpointReader* in) const {
+  auto message = std::make_unique<GossipMessage>();
+  in->Get(message.get());
+  return message;
 }
 
 void LazyProtocol::CommitMessage(UserId sender, std::uint64_t send_cycle,

@@ -49,6 +49,14 @@ struct ProfileExchangeOffer {
   std::uint64_t score = 0;
   DigestInfo digest;
   std::uint64_t rest_bytes = 0;
+
+  /// The checkpoint field list (sim/checkpoint.h).
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.score...);
+    f(s.digest...);
+    f(s.rest_bytes...);
+  }
 };
 
 /// The planned effects of one bidirectional top-layer exchange a <-> b.
@@ -62,6 +70,17 @@ struct ProfileExchangePlan {
   std::vector<ProfileExchangeOffer> offers_to_a;  ///< candidates a screens in
 
   bool Planned() const { return a != kInvalidUser; }
+
+  /// The checkpoint field list (sim/checkpoint.h) and its load hook, which
+  /// rejects an exchange with only one endpoint.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.a...);
+    f(s.b...);
+    f(s.offers_to_b...);
+    f(s.offers_to_a...);
+  }
+  void FinishLoad() const;
 };
 
 /// Cycle-driven lazy-mode protocol.
@@ -111,23 +130,22 @@ class LazyProtocol : public CycleProtocol {
                                     const ProfileExchangePlan& plan);
 
   /// Checkpoint codec for in-flight gossip messages.
-  void EncodeMessage(const DeliveryMessage& message, CheckpointWriter* out,
-                     ProfilePool* pool) const override;
+  void EncodeMessage(const DeliveryMessage& message,
+                     CheckpointWriter* out) const override;
   std::unique_ptr<DeliveryMessage> DecodeMessage(
-      CheckpointReader* in, const ProfileTable& profiles) const override;
-
-  /// Checkpoint codec for a planned profile exchange — shared with the
-  /// eager mode, whose gossips piggyback the same structure.
-  static void EncodeExchangePlan(const ProfileExchangePlan& plan,
-                                 CheckpointWriter* out, ProfilePool* pool);
-  static ProfileExchangePlan DecodeExchangePlan(CheckpointReader* in,
-                                                const ProfileTable& profiles);
+      CheckpointReader* in) const override;
 
  private:
   /// A probed random-view digest whose full profile will be offered.
   struct PlannedProbe {
     std::uint64_t score = 0;
     DigestInfo digest;
+
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.score...);
+      f(s.digest...);
+    }
   };
 
   /// One cycle's planned effects of one node, travelling as a
@@ -145,6 +163,16 @@ class LazyProtocol : public CycleProtocol {
     bool Empty() const {
       return view_removals.empty() && bottom_peer == kInvalidUser &&
              probes.empty() && !exchange.Planned();
+    }
+
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.view_removals...);
+      f(s.bottom_peer...);
+      f(s.send_payload...);
+      f(s.recv_payload...);
+      f(s.probes...);
+      f(s.exchange...);
     }
   };
 

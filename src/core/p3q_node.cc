@@ -1,5 +1,9 @@
 #include "core/p3q_node.h"
 
+#include <string>
+
+#include "sim/checkpoint.h"
+
 namespace p3q {
 
 P3QNode::P3QNode(UserId self, ProfilePtr profile, const P3QConfig& config,
@@ -24,6 +28,13 @@ bool P3QNode::ShouldProbe(UserId user, std::uint32_t version) {
     return true;
   }
   return false;
+}
+
+void P3QNode::FinishLoad() const {
+  if (profile_ == nullptr || profile_->owner() != self_) {
+    throw CheckpointError("own profile of user " + std::to_string(self_) +
+                          " is missing or owned by someone else");
+  }
 }
 
 }  // namespace p3q

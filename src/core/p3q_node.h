@@ -34,6 +34,29 @@ struct EagerTask {
   std::uint32_t generation = 0;
   bool in_flight = false;
   std::uint64_t in_flight_until = 0;  ///< first cycle a re-issue may happen
+
+  /// The checkpoint field list (sim/checkpoint.h).
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.query_id...);
+    f(s.querier...);
+    f(s.tags...);
+    f(s.remaining...);
+    f(s.epoch...);
+    f(s.generation...);
+    f(s.in_flight...);
+    f(s.in_flight_until...);
+  }
+};
+
+template <typename T>
+struct CheckpointTraits;
+
+/// A node's task table is keyed by the query id its tasks carry.
+template <>
+struct CheckpointTraits<EagerTask> {
+  static constexpr const char* kNoun = "eager task";
+  static std::uint64_t KeyOf(const EagerTask& task) { return task.query_id; }
 };
 
 /// Per-user protocol state.
@@ -81,13 +104,18 @@ class P3QNode {
     return tasks_;
   }
 
-  /// Probe memo of ShouldProbe (checkpoint access).
-  std::unordered_map<UserId, std::uint32_t>& probed_versions() {
-    return probed_versions_;
+  /// The checkpoint field list (sim/checkpoint.h) and its load hook, which
+  /// rejects an own profile that is missing or someone else's.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.profile_...);
+    f(s.rng_...);
+    f(s.network_...);
+    f(s.random_view_...);
+    f(s.probed_versions_...);
+    f(s.tasks_...);
   }
-  const std::unordered_map<UserId, std::uint32_t>& probed_versions() const {
-    return probed_versions_;
-  }
+  void FinishLoad() const;
 
  private:
   UserId self_;

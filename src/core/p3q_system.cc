@@ -278,72 +278,20 @@ void P3QSystem::SaveCheckpoint(CheckpointWriter* out) const {
   // The body is written to a scratch buffer while interning profiles; the
   // pool must precede the body on disk so the loader can resolve refs.
   ProfilePool pool;
-  CheckpointWriter body;
-
-  const UserId num_users = static_cast<UserId>(NumUsers());
-  body.U64(num_users);
-  for (UserId u = 0; u < num_users; ++u) {
-    body.U32(pool.Intern(store_.Get(u)));
-  }
-  for (UserId u = 0; u < num_users; ++u) {
-    body.U8(network_.IsOnline(u) ? 1 : 0);
-  }
+  CheckpointWriter body(&pool);
+  std::vector<ProfilePtr> snapshots;
+  snapshots.reserve(NumUsers());
+  for (UserId u = 0; u < NumUsers(); ++u) snapshots.push_back(store_.Get(u));
+  body.Put(snapshots);
+  for (UserId u = 0; u < NumUsers(); ++u) body.Put(network_.IsOnline(u));
   body.Put(network_.metrics());
-  WriteRngState(&body, rng_);
+  body.Put(rng_);
   body.Sentinel();
-
-  for (UserId u = 0; u < num_users; ++u) {
-    const P3QNode& n = node(u);
-    body.U32(pool.Intern(n.profile()));
-    WriteRngState(&body, n.rng());
-
-    const std::vector<NetworkEntry>& entries = n.network().entries();
-    body.U64(entries.size());
-    for (const NetworkEntry& e : entries) {
-      body.U32(e.user);
-      body.U64(e.score);
-      WriteDigestInfo(&body, &pool, e.digest);
-      body.U32(e.timestamp);
-      body.U32(pool.Intern(e.stored_profile));
-    }
-
-    const std::vector<DigestInfo>& view = n.random_view().entries();
-    body.U64(view.size());
-    for (const DigestInfo& d : view) WriteDigestInfo(&body, &pool, d);
-
-    std::vector<std::pair<UserId, std::uint32_t>> probed(
-        n.probed_versions().begin(), n.probed_versions().end());
-    std::sort(probed.begin(), probed.end());
-    body.U64(probed.size());
-    for (const auto& [user, version] : probed) {
-      body.U32(user);
-      body.U32(version);
-    }
-
-    std::vector<std::uint64_t> task_ids;
-    task_ids.reserve(n.tasks().size());
-    for (const auto& [id, task] : n.tasks()) task_ids.push_back(id);
-    std::sort(task_ids.begin(), task_ids.end());
-    body.U64(task_ids.size());
-    for (std::uint64_t id : task_ids) {
-      const EagerTask& task = n.tasks().at(id);
-      body.U64(task.query_id);
-      body.U32(task.querier);
-      body.U64(task.tags.size());
-      for (TagId tag : task.tags) body.U32(tag);
-      body.U64(task.remaining.size());
-      for (UserId r : task.remaining) body.U32(r);
-      body.U64(task.epoch);
-      body.U32(task.generation);
-      body.U8(task.in_flight ? 1 : 0);
-      body.U64(task.in_flight_until);
-    }
-  }
+  for (const auto& n : nodes_) body.Put(*n);
   body.Sentinel();
-
-  engine_.SaveState(&body, &pool);
-  eager_engine_.SaveState(&body, &pool);
-  eager_->SaveState(&body);
+  engine_.SaveState(&body);
+  eager_engine_.SaveState(&body);
+  body.Put(*eager_);
 
   pool.Serialize(out);
   out->Append(body);
@@ -353,114 +301,36 @@ void P3QSystem::LoadCheckpoint(CheckpointReader* in) {
   // Passing the store lets the loader share still-live snapshots (same
   // owner/version/actions) through the snapshot pool and land rebuilt ones
   // back on the store's arena shards.
-  const ProfileTable profiles =
-      ProfileTable::Deserialize(in, config_.digest_bits, &store_);
-
-  const std::uint64_t num_users = in->U64();
-  if (num_users != NumUsers()) {
-    throw CheckpointError("checkpoint has " + std::to_string(num_users) +
+  in->ReadProfiles(config_.digest_bits, &store_);
+  std::vector<ProfilePtr> snapshots;
+  in->Get(&snapshots);
+  if (snapshots.size() != NumUsers()) {
+    throw CheckpointError("checkpoint has " +
+                          std::to_string(snapshots.size()) +
                           " users but this system has " +
                           std::to_string(NumUsers()) +
                           " (different dataset or scenario)");
   }
-  std::vector<ProfilePtr> snapshots;
-  snapshots.reserve(static_cast<std::size_t>(num_users));
-  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
-    const ProfilePtr& snapshot = profiles.Get(in->U32());
-    if (snapshot == nullptr || snapshot->owner() != u) {
+  for (UserId u = 0; u < NumUsers(); ++u) {
+    if (snapshots[u] == nullptr || snapshots[u]->owner() != u) {
       throw CheckpointError("store snapshot for user " + std::to_string(u) +
                             " is missing or owned by someone else");
     }
-    snapshots.push_back(snapshot);
   }
   store_.RestoreSnapshots(std::move(snapshots));
-  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
-    network_.SetOnline(u, in->U8() != 0);
+  for (UserId u = 0; u < NumUsers(); ++u) {
+    bool online = false;
+    in->Get(&online);
+    network_.SetOnline(u, online);
   }
   in->Get(&network_.metrics());
-  ReadRngState(in, &rng_);
+  in->Get(&rng_);
   in->Sentinel("system header");
-
-  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
-    P3QNode& n = node(u);
-    const ProfilePtr& own = profiles.Get(in->U32());
-    if (own == nullptr || own->owner() != u) {
-      throw CheckpointError("own profile of user " + std::to_string(u) +
-                            " is missing or owned by someone else");
-    }
-    n.SetOwnProfile(own);
-    ReadRngState(in, &n.rng());
-
-    const std::uint64_t num_entries = in->Count(25);
-    std::vector<NetworkEntry> entries;
-    entries.reserve(static_cast<std::size_t>(num_entries));
-    for (std::uint64_t e = 0; e < num_entries; ++e) {
-      NetworkEntry entry;
-      entry.user = in->U32();
-      entry.score = in->U64();
-      entry.digest = ReadDigestInfo(in, profiles);
-      entry.timestamp = in->U32();
-      entry.stored_profile = profiles.Get(in->U32());
-      if (entry.digest.user != entry.user ||
-          (entry.stored_profile != nullptr &&
-           entry.stored_profile->owner() != entry.user)) {
-        throw CheckpointError("personal-network entry of user " +
-                              std::to_string(u) +
-                              " carries another user's profile");
-      }
-      entries.push_back(std::move(entry));
-    }
-    n.network().RestoreEntries(std::move(entries));
-
-    const std::uint64_t num_view = in->Count(8);
-    std::vector<DigestInfo> view;
-    view.reserve(static_cast<std::size_t>(num_view));
-    for (std::uint64_t v = 0; v < num_view; ++v) {
-      view.push_back(ReadDigestInfo(in, profiles));
-    }
-    n.random_view().Init(std::move(view));
-
-    n.probed_versions().clear();
-    const std::uint64_t num_probed = in->Count(8);
-    for (std::uint64_t p = 0; p < num_probed; ++p) {
-      const UserId user = in->U32();
-      const std::uint32_t version = in->U32();
-      n.probed_versions()[user] = version;
-    }
-
-    n.tasks().clear();
-    const std::uint64_t num_tasks = in->Count(45);
-    for (std::uint64_t t = 0; t < num_tasks; ++t) {
-      EagerTask task;
-      task.query_id = in->U64();
-      task.querier = in->U32();
-      const std::uint64_t num_tags = in->Count(4);
-      task.tags.reserve(static_cast<std::size_t>(num_tags));
-      for (std::uint64_t g = 0; g < num_tags; ++g) {
-        task.tags.push_back(in->U32());
-      }
-      const std::uint64_t num_remaining = in->Count(4);
-      task.remaining.reserve(static_cast<std::size_t>(num_remaining));
-      for (std::uint64_t r = 0; r < num_remaining; ++r) {
-        task.remaining.push_back(in->U32());
-      }
-      task.epoch = in->U64();
-      task.generation = in->U32();
-      task.in_flight = in->U8() != 0;
-      task.in_flight_until = in->U64();
-      const std::uint64_t id = task.query_id;
-      if (!n.tasks().emplace(id, std::move(task)).second) {
-        throw CheckpointError("user " + std::to_string(u) +
-                              " holds two tasks for query " +
-                              std::to_string(id));
-      }
-    }
-  }
+  for (const auto& n : nodes_) in->Get(n.get());
   in->Sentinel("nodes");
-
-  engine_.LoadState(in, profiles);
-  eager_engine_.LoadState(in, profiles);
-  eager_->LoadState(in);
+  engine_.LoadState(in);
+  eager_engine_.LoadState(in);
+  in->Get(eager_.get());
 }
 
 P3QSystem::PairKey P3QSystem::MakePairKey(const Profile& a, const Profile& b,

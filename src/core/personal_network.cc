@@ -1,6 +1,9 @@
 #include "core/personal_network.h"
 
 #include <algorithm>
+#include <string>
+
+#include "sim/checkpoint.h"
 
 namespace p3q {
 namespace {
@@ -180,8 +183,16 @@ void PersonalNetwork::Remove(UserId user) {
   Reindex();
 }
 
-void PersonalNetwork::RestoreEntries(std::vector<NetworkEntry> entries) {
-  entries_ = std::move(entries);
+void NetworkEntry::FinishLoad() const {
+  if (digest.user != user ||
+      (stored_profile != nullptr && stored_profile->owner() != user)) {
+    throw CheckpointError("corrupt checkpoint: personal-network entry for "
+                          "user " + std::to_string(user) +
+                          " carries another user's profile");
+  }
+}
+
+void PersonalNetwork::FinishLoad() {
   std::sort(entries_.begin(), entries_.end(), EntryBefore);
   RebalanceStorage();
   Reindex();

@@ -33,6 +33,18 @@ struct NetworkEntry {
   ProfilePtr stored_profile;
 
   bool HasStoredProfile() const { return stored_profile != nullptr; }
+
+  /// The checkpoint field list (sim/checkpoint.h).
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.user...);
+    f(s.score...);
+    f(s.digest...);
+    f(s.timestamp...);
+    f(s.stored_profile...);
+  }
+  /// Checkpoint load hook: digest and replica must be the neighbour's own.
+  void FinishLoad() const;
 };
 
 /// Outcome of offering a candidate to the network.
@@ -115,10 +127,15 @@ class PersonalNetwork {
   /// Sum of stored-replica lengths (the paper's storage metric, Fig. 5).
   std::size_t StoredProfileActions() const;
 
-  /// Checkpoint restore: replaces the contents with `entries`, re-sorting
-  /// into canonical order and rebuilding the index. Entries past the top-c
-  /// lose any stored replica (the storage invariant).
-  void RestoreEntries(std::vector<NetworkEntry> entries);
+  /// The checkpoint field list (sim/checkpoint.h) and its load hook, which
+  /// re-sorts the entries into canonical order and rebuilds the index.
+  /// Entries past the top-c lose any stored replica (the storage
+  /// invariant).
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.entries_...);
+  }
+  void FinishLoad();
 
  private:
   void Reindex();

@@ -33,6 +33,13 @@ struct PartialResultMessage {
     return entries.size() * kBytesPerResultEntry +
            used_profiles.size() * kBytesPerUserId;
   }
+
+  /// The checkpoint field list (sim/checkpoint.h).
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.entries...);
+    f(s.used_profiles...);
+  }
 };
 
 /// Per-query traffic accounting (the three byte series of Figure 6).
@@ -47,6 +54,16 @@ struct QueryTraffic {
   std::uint64_t TotalBytes() const {
     return forwarded_list_bytes + returned_list_bytes + partial_result_bytes;
   }
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.forwarded_list_bytes...);
+    f(s.returned_list_bytes...);
+    f(s.partial_result_bytes...);
+    f(s.forward_messages...);
+    f(s.return_messages...);
+    f(s.partial_result_messages...);
+  }
 };
 
 /// End-of-cycle snapshot of what the querier sees.
@@ -57,6 +74,13 @@ struct QueryCycleSnapshot {
   std::size_t used_profiles = 0;
   /// True once every profile of the personal network has been used.
   bool complete = false;
+
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.top_k...);
+    f(s.used_profiles...);
+    f(s.complete...);
+  }
 };
 
 /// Querier-side bookkeeping of one query.
@@ -66,6 +90,8 @@ class ActiveQuery {
   /// size of the querier's personal network at issue time (the number of
   /// profiles a complete processing must use).
   ActiveQuery(std::uint64_t id, QuerySpec spec, int k, std::size_t expected);
+  /// An empty query for a checkpoint load to fill.
+  ActiveQuery() : ActiveQuery(0, QuerySpec{}, 1, 0) {}
 
   std::uint64_t id() const { return id_; }
   const QuerySpec& spec() const { return spec_; }
@@ -117,12 +143,23 @@ class ActiveQuery {
   IncrementalNra& nra() { return nra_; }
   const IncrementalNra& nra() const { return nra_; }
 
-  /// Serializes the full querier-side state into a checkpoint.
-  void SaveState(CheckpointWriter* out) const;
-
-  /// Reconstructs a query saved with SaveState. Throws CheckpointError on
-  /// malformed input.
-  static ActiveQuery LoadState(CheckpointReader* in);
+  /// The checkpoint field list (sim/checkpoint.h): the full querier-side
+  /// state. The inbox is drained by every EndOfCycle, so at a cycle barrier
+  /// it is empty — listed anyway so the codec is total over the object.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.id_...);
+    f(s.spec_...);
+    f(s.expected_...);
+    f(s.nra_...);
+    f(s.inbox_...);
+    f(s.used_profiles_...);
+    f(s.history_...);
+    f(s.traffic_...);
+    f(s.finalized_...);
+    f(s.late_results_dropped_...);
+    f(s.first_result_cycle_...);
+  }
 
  private:
   std::uint64_t id_;

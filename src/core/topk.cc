@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <climits>
 #include <map>
+#include <string>
 
 #include "sim/checkpoint.h"
 
 namespace p3q {
 
-IncrementalNra::IncrementalNra(int k) : k_(k < 1 ? 1 : k) {}
+IncrementalNra::IncrementalNra(int k)
+    : k_(static_cast<std::uint32_t>(k < 1 ? 1 : k)) {}
 
 void IncrementalNra::AddList(
     std::vector<std::pair<ItemId, std::uint32_t>> entries) {
@@ -138,75 +141,25 @@ std::size_t IncrementalNra::DrainAll() {
   return total_scanned_ - before;
 }
 
-void IncrementalNra::SaveState(CheckpointWriter* out) const {
-  out->U32(static_cast<std::uint32_t>(k_));
-  out->U64(total_scanned_);
-  out->U64(lists_.size());
+void IncrementalNra::FinishLoad() const {
+  if (k_ == 0 || k_ > static_cast<std::uint32_t>(INT_MAX)) {
+    throw CheckpointError("corrupt checkpoint: NRA result size " +
+                          std::to_string(k_) + " out of range");
+  }
   for (const List& list : lists_) {
-    out->U64(list.entries.size());
-    for (const auto& [item, score] : list.entries) {
-      out->U32(item);
-      out->U32(score);
-    }
-    out->U64(list.next_pos);
-    out->U64(list.last_seen);
-  }
-  // Candidates in ascending item order so the encoding is deterministic
-  // regardless of hash-map iteration order.
-  std::vector<ItemId> items;
-  items.reserve(candidates_.size());
-  for (const auto& [item, cand] : candidates_) items.push_back(item);
-  std::sort(items.begin(), items.end());
-  out->U64(items.size());
-  for (ItemId item : items) {
-    const Candidate& cand = candidates_.at(item);
-    out->U32(item);
-    out->U64(cand.worst);
-    out->U64(cand.seen_lists.size());
-    for (std::uint32_t idx : cand.seen_lists) out->U32(idx);
-  }
-}
-
-IncrementalNra IncrementalNra::LoadState(CheckpointReader* in) {
-  IncrementalNra nra(static_cast<int>(in->U32()));
-  nra.total_scanned_ = in->U64();
-  const std::uint64_t num_lists = in->Count(24);
-  nra.lists_.reserve(static_cast<std::size_t>(num_lists));
-  for (std::uint64_t i = 0; i < num_lists; ++i) {
-    List list;
-    const std::uint64_t num_entries = in->Count(8);
-    list.entries.reserve(static_cast<std::size_t>(num_entries));
-    for (std::uint64_t e = 0; e < num_entries; ++e) {
-      const ItemId item = in->U32();
-      const std::uint32_t score = in->U32();
-      list.entries.emplace_back(item, score);
-    }
-    list.next_pos = static_cast<std::size_t>(in->U64());
-    list.last_seen = in->U64();
     if (list.next_pos > list.entries.size()) {
       throw CheckpointError(
           "corrupt checkpoint: NRA list cursor past the list's end");
     }
-    nra.lists_.push_back(std::move(list));
   }
-  const std::uint64_t num_candidates = in->Count(20);
-  for (std::uint64_t c = 0; c < num_candidates; ++c) {
-    const ItemId item = in->U32();
-    Candidate cand;
-    cand.worst = in->U64();
-    const std::uint64_t num_seen = in->Count(4);
-    cand.seen_lists.reserve(static_cast<std::size_t>(num_seen));
-    for (std::uint64_t s = 0; s < num_seen; ++s) {
-      const std::uint32_t idx = in->U32();
-      if (idx >= nra.lists_.size()) {
+  for (const auto& [item, cand] : candidates_) {
+    for (std::uint32_t idx : cand.seen_lists) {
+      if (idx >= lists_.size()) {
         throw CheckpointError(
             "corrupt checkpoint: NRA candidate references an unknown list");
       }
-      cand.seen_lists.push_back(idx);
     }
-    nra.candidates_.emplace(item, std::move(cand));
   }
-  return nra;
 }
 
 std::vector<RankedItem> IncrementalNra::TopK() const {

@@ -23,14 +23,19 @@
 
 namespace p3q {
 
-class CheckpointWriter;  // sim/checkpoint.h
-class CheckpointReader;  // sim/checkpoint.h
-
 /// One candidate of the current top-k, with its NRA score interval.
 struct RankedItem {
   ItemId item = kInvalidItem;
   std::uint64_t worst = 0;  ///< lower bound (sum of seen scores)
   std::uint64_t best = 0;   ///< upper bound
+
+  /// The checkpoint field list (sim/checkpoint.h).
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.item...);
+    f(s.worst...);
+    f(s.best...);
+  }
 };
 
 /// Incremental NRA accumulator.
@@ -39,7 +44,7 @@ struct RankedItem {
 /// cycle, then Process() once, then TopK() for the refreshed answer.
 class IncrementalNra {
  public:
-  explicit IncrementalNra(int k);
+  explicit IncrementalNra(int k = 1);
 
   /// Registers a partial result list: (item, score) pairs sorted by score
   /// descending. The list is scanned lazily by Process().
@@ -62,19 +67,24 @@ class IncrementalNra {
   /// given the lists seen so far).
   bool Converged() const;
 
-  int k() const { return k_; }
+  int k() const { return static_cast<int>(k_); }
   std::size_t num_lists() const { return lists_.size(); }
   std::size_t num_candidates() const { return candidates_.size(); }
   /// Total list entries consumed since construction (scan-depth metric).
   std::size_t total_entries_scanned() const { return total_scanned_; }
 
-  /// Serializes the full accumulator state (lists with scan cursors,
-  /// candidates, counters) into a checkpoint.
-  void SaveState(CheckpointWriter* out) const;
-
-  /// Reconstructs an accumulator saved with SaveState. Throws
-  /// CheckpointError on malformed input.
-  static IncrementalNra LoadState(CheckpointReader* in);
+  /// The checkpoint field list (sim/checkpoint.h): the full accumulator
+  /// state — lists with scan cursors, candidates, counters. The load hook
+  /// rejects a cursor past its list's end and a candidate seen in a list
+  /// that does not exist.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.k_...);
+    f(s.total_scanned_...);
+    f(s.lists_...);
+    f(s.candidates_...);
+  }
+  void FinishLoad() const;
 
  private:
   struct List {
@@ -84,10 +94,23 @@ class IncrementalNra {
     /// consumption (an unscanned list bounds nothing).
     std::uint64_t last_seen = kUnknown;
     bool Exhausted() const { return next_pos >= entries.size(); }
+
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.entries...);
+      f(s.next_pos...);
+      f(s.last_seen...);
+    }
   };
   struct Candidate {
     std::uint64_t worst = 0;
     std::vector<std::uint32_t> seen_lists;  ///< list ids item appeared in
+
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.worst...);
+      f(s.seen_lists...);
+    }
   };
 
   static constexpr std::uint64_t kUnknown = ~std::uint64_t{0};
@@ -105,7 +128,7 @@ class IncrementalNra {
   /// Consumes entry `pos` of list `idx`.
   void ConsumeEntry(std::uint32_t idx, std::size_t pos);
 
-  int k_;
+  std::uint32_t k_;  ///< >= 1
   std::vector<List> lists_;
   std::unordered_map<ItemId, Candidate> candidates_;
   std::size_t total_scanned_ = 0;

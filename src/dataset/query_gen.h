@@ -23,6 +23,14 @@ struct QuerySpec {
   UserId querier = kInvalidUser;
   std::vector<TagId> tags;  // sorted ascending, unique
   ItemId source_item = kInvalidItem;
+
+  /// The checkpoint field list (sim/checkpoint.h).
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.querier...);
+    f(s.tags...);
+    f(s.source_item...);
+  }
 };
 
 /// Generates one query for the given user per the paper's method. Returns a

@@ -3,7 +3,16 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "sim/checkpoint.h"
+
 namespace p3q {
+
+void DigestInfo::FinishLoad() const {
+  if (snapshot == nullptr) {
+    throw CheckpointError(
+        "corrupt checkpoint: digest descriptor without a profile snapshot");
+  }
+}
 
 RandomView::RandomView(UserId self, std::size_t capacity)
     : self_(self), capacity_(capacity) {}

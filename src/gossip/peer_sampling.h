@@ -44,6 +44,16 @@ class RandomView {
   /// Drops a user from the view (e.g. detected offline).
   void Remove(UserId user);
 
+  /// The checkpoint field list and load hook (sim/checkpoint.h); a loaded
+  /// view is cut to capacity like Init.
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.entries_...);
+  }
+  void FinishLoad() {
+    if (entries_.size() > capacity_) entries_.resize(capacity_);
+  }
+
  private:
   UserId self_;
   std::size_t capacity_;

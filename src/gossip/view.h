@@ -30,6 +30,15 @@ struct DigestInfo {
   std::size_t WireBytes() const {
     return snapshot->digest().SizeBytes() + kBytesPerUserId;
   }
+
+  /// The checkpoint field list (sim/checkpoint.h).
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.user...);
+    f(s.snapshot...);
+  }
+  /// Checkpoint load hook: a descriptor always carries a snapshot.
+  void FinishLoad() const;
 };
 
 /// Simulates the receiver-side Bloom check "does Digest(other) contain at

@@ -189,16 +189,26 @@ __attribute__((target("avx2"))) std::size_t Avx2IntersectBlocksMerge(
 
 namespace {
 
+// Unmasked AVX-512 intrinsics whose GCC implementation merges into
+// _mm512_undefined_epi32() (shifts, alignr, broadcasts, the 256-bit
+// extracts behind _mm512_reduce_add_epi64) are spelled below as their
+// zero-masking forms under a full mask, or replaced by a constant: same
+// instructions and bits, and no read of an uninitialized merge source for
+// the compiler to warn about.
+constexpr __mmask8 kAllLanes = 0xff;
+
 /// Per-64-bit-lane popcount without VPOPCNTDQ: the classic in-register
 /// nibble LUT (VPSHUFB) summed per qword with VPSADBW — AVX-512BW only, so
 /// pre-Ice-Lake AVX-512 parts run it instead of faulting on VPOPCNTQ.
 __attribute__((target("avx512f,avx512bw,avx512vl"))) inline __m512i
 Popcnt64Nibble(__m512i v) {
-  const __m512i lut = _mm512_broadcast_i32x4(
-      _mm_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4));
+  // Popcounts of the nibbles 0..15, one byte each, in every 128-bit lane.
+  const __m512i lut = _mm512_set4_epi32(0x04030302, 0x03020201, 0x03020201,
+                                        0x02010100);
   const __m512i low = _mm512_set1_epi8(0x0f);
   const __m512i lo = _mm512_and_si512(v, low);
-  const __m512i hi = _mm512_and_si512(_mm512_srli_epi64(v, 4), low);
+  const __m512i hi =
+      _mm512_and_si512(_mm512_maskz_srli_epi64(kAllLanes, v, 4), low);
   const __m512i nibbles = _mm512_add_epi8(_mm512_shuffle_epi8(lut, lo),
                                           _mm512_shuffle_epi8(lut, hi));
   return _mm512_sad_epu8(nibbles, _mm512_setzero_si512());
@@ -223,15 +233,21 @@ Popcnt64Nibble(__m512i v) {
         const __m512i inter = _mm512_maskz_and_epi64(eq, wa, wb);           \
         acc = _mm512_add_epi64(acc, POPCNT64(inter));                       \
       }                                                                     \
-      vb = _mm512_alignr_epi64(vb, vb, 1);                                  \
-      wb = _mm512_alignr_epi64(wb, wb, 1);                                  \
+      vb = _mm512_maskz_alignr_epi64(kAllLanes, vb, vb, 1);                 \
+      wb = _mm512_maskz_alignr_epi64(kAllLanes, wb, wb, 1);                 \
     }                                                                       \
     const std::uint64_t amax = ab[i + 7];                                   \
     const std::uint64_t bmax = bb[j + 7];                                   \
     if (amax <= bmax) i += 8;                                               \
     if (bmax <= amax) j += 8;                                               \
   }                                                                         \
-  count += static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));          \
+  const __m256i half =                                                      \
+      _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(kAllLanes, acc, 1),  \
+                       _mm512_maskz_extracti64x4_epi64(kAllLanes, acc, 0)); \
+  const __m128i quarter = _mm_add_epi64(_mm256_extracti128_si256(half, 1),  \
+                                        _mm256_castsi256_si128(half));      \
+  count += static_cast<std::size_t>(_mm_cvtsi128_si64(quarter) +            \
+                                    _mm_extract_epi64(quarter, 1));         \
   return count + kernel_detail::IntersectBlocksMergeScalar(                 \
                      ab + i, aw + i, na - i, bb + j, bw + j, nb - j)
 

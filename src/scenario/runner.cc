@@ -127,14 +127,6 @@ struct CheckpointTraits<SimilarityMetric> {
   static constexpr SimilarityMetric kLast = SimilarityMetric::kOverlap;
   static constexpr const char* kNoun = "similarity metric";
 };
-template <>
-struct CheckpointTraits<PhaseReport> {
-  static constexpr std::size_t kMinBytes = 64;
-};
-template <>
-struct CheckpointTraits<OpenQuery> {
-  static constexpr std::size_t kMinBytes = 16;
-};
 
 namespace {
 

@@ -5,7 +5,6 @@
 #include "core/p3q_system.h"
 #include "eval/recall.h"
 #include "obs/trace.h"
-#include "sim/checkpoint.h"
 
 namespace p3q {
 namespace {
@@ -87,50 +86,6 @@ void ServingTracker::Poll(P3QSystem* system, std::uint64_t cycle,
       ++it;
     }
   }
-}
-
-void ServingTracker::SaveState(CheckpointWriter* out) const {
-  out->U64(slo_cycles_);
-  out->F64(recall_target_);
-  out->U64(open_.size());
-  for (const auto& [query_id, open] : open_) {
-    out->U64(query_id);
-    out->U64(open.issue_cycle);
-    out->U32(open.querier);
-    out->U8(open.first_result_recorded ? 1 : 0);
-    out->U64(open.reference.size());
-    for (ItemId item : open.reference) out->U32(item);
-  }
-  out->Sentinel();
-}
-
-void ServingTracker::LoadState(CheckpointReader* in) {
-  const std::uint64_t slo_cycles = in->U64();
-  const double recall_target = in->F64();
-  std::map<std::uint64_t, OpenQuery> loaded;
-  const std::uint64_t num_open = in->Count(29);
-  std::uint64_t prev_id = 0;
-  for (std::uint64_t q = 0; q < num_open; ++q) {
-    const std::uint64_t query_id = in->U64();
-    if (q > 0 && query_id <= prev_id) {
-      throw CheckpointError("serving tracker query ids out of order");
-    }
-    prev_id = query_id;
-    OpenQuery open;
-    open.issue_cycle = in->U64();
-    open.querier = in->U32();
-    open.first_result_recorded = in->U8() != 0;
-    const std::uint64_t num_reference = in->Count(4);
-    open.reference.reserve(static_cast<std::size_t>(num_reference));
-    for (std::uint64_t r = 0; r < num_reference; ++r) {
-      open.reference.push_back(in->U32());
-    }
-    loaded.emplace_hint(loaded.end(), query_id, std::move(open));
-  }
-  in->Sentinel("serving tracker");
-  slo_cycles_ = slo_cycles;
-  recall_target_ = recall_target;
-  open_ = std::move(loaded);
 }
 
 void ServingTracker::Abandon(P3QSystem* system, std::uint64_t cycle,

@@ -29,8 +29,8 @@
 namespace p3q {
 
 class P3QSystem;
-class CheckpointWriter;
-class CheckpointReader;
+template <typename T>
+struct CheckpointTraits;
 
 /// Tracks open-loop queries from issue to completion across phase
 /// boundaries; one instance per scenario run.
@@ -38,7 +38,7 @@ class ServingTracker {
  public:
   /// slo_cycles / recall_target: the serving SLO (ArrivalSpec's knobs).
   ServingTracker(std::uint64_t slo_cycles, double recall_target);
-  /// An empty tracker for LoadState to fill.
+  /// An empty tracker for a checkpoint load to fill.
   ServingTracker() = default;
 
   /// Registers a query issued at serving cycle `cycle` with the
@@ -63,11 +63,15 @@ class ServingTracker {
 
   std::uint64_t slo_cycles() const { return slo_cycles_; }
 
-  /// Serializes the SLO knobs and every open query into a checkpoint.
-  void SaveState(CheckpointWriter* out) const;
-
-  /// Restores state written by SaveState, replacing current contents.
-  void LoadState(CheckpointReader* in);
+  /// The checkpoint field list (sim/checkpoint.h): the SLO knobs and every
+  /// open query.
+  static constexpr const char* kCheckpointSection = "serving tracker";
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.slo_cycles_...);
+    f(s.recall_target_...);
+    f(s.open_...);
+  }
 
  private:
   struct OpenQuery {
@@ -75,6 +79,14 @@ class ServingTracker {
     UserId querier = kInvalidUser;
     bool first_result_recorded = false;
     std::vector<ItemId> reference;
+
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.issue_cycle...);
+      f(s.querier...);
+      f(s.first_result_recorded...);
+      f(s.reference...);
+    }
   };
 
   /// True when the query's latest top-k reaches the recall target.
@@ -85,6 +97,11 @@ class ServingTracker {
   double recall_target_ = 1.0;
   /// Ordered by query id so polling order is deterministic.
   std::map<std::uint64_t, OpenQuery> open_;
+};
+
+template <>
+struct CheckpointTraits<ServingTracker::OpenQuery> {
+  static constexpr const char* kNoun = "serving tracker query";
 };
 
 }  // namespace p3q

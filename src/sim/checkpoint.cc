@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "profile/profile_store.h"
+#include "sim/engine.h"
 
 namespace p3q {
 
@@ -222,34 +223,43 @@ const ProfilePtr& ProfileTable::Get(std::uint32_t id) const {
 }
 
 // ---------------------------------------------------------------------------
-// Shared small-structure codecs
+// Codec context: profile references and delivery messages
 // ---------------------------------------------------------------------------
 
-void WriteDigestInfo(CheckpointWriter* out, ProfilePool* pool,
-                     const DigestInfo& digest) {
-  out->U32(digest.user);
-  out->U32(pool->Intern(digest.snapshot));
-}
-
-DigestInfo ReadDigestInfo(CheckpointReader* in, const ProfileTable& profiles) {
-  DigestInfo digest;
-  digest.user = in->U32();
-  digest.snapshot = profiles.Get(in->U32());
-  if (digest.snapshot == nullptr) {
-    throw CheckpointError(
-        "corrupt checkpoint: digest descriptor without a profile snapshot");
+void CheckpointWriter::PutProfile(const ProfilePtr& profile) {
+  if (pool_ == nullptr) {
+    throw CheckpointError("profile reference written without a profile pool");
   }
-  return digest;
+  U32(pool_->Intern(profile));
 }
 
-void WriteRngState(CheckpointWriter* out, const Rng& rng) {
-  for (std::uint64_t word : rng.State()) out->U64(word);
+void CheckpointWriter::PutMessage(const DeliveryMessage& message) {
+  if (messages_ == nullptr) {
+    throw CheckpointError("delivery message written without its protocol");
+  }
+  messages_->EncodeMessage(message, this);
 }
 
-void ReadRngState(CheckpointReader* in, Rng* rng) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = in->U64();
-  rng->SetState(state);
+void CheckpointReader::ReadProfiles(std::size_t digest_bits,
+                                    const ProfileStore* reuse) {
+  profiles_ = ProfileTable::Deserialize(this, digest_bits, reuse);
+}
+
+ProfilePtr CheckpointReader::GetProfile() {
+  const std::uint32_t id = U32();
+  if (!profiles_.has_value()) {
+    throw CheckpointError(
+        "corrupt checkpoint: profile reference outside the system section");
+  }
+  return profiles_->Get(id);
+}
+
+std::unique_ptr<DeliveryMessage> CheckpointReader::GetMessage() {
+  if (messages_ == nullptr) {
+    throw CheckpointError(
+        "corrupt checkpoint: delivery message outside a delivery queue");
+  }
+  return messages_->DecodeMessage(this);
 }
 
 // ---------------------------------------------------------------------------

@@ -212,61 +212,19 @@ std::vector<DeliveryQueue::InFlight> DeliveryQueue::TakeDue(
   return out;
 }
 
-void DeliveryQueue::SaveState(const CycleProtocol& protocol,
-                              CheckpointWriter* out,
-                              ProfilePool* pool) const {
-  out->U64(next_seq_);
-  out->Put(stats_);
-  out->U64(due_.size());
-  for (const auto& [due_cycle, bucket] : due_) {
-    out->U64(due_cycle);
-    out->U64(bucket.size());
-    for (const InFlight& message : bucket) {
-      out->U32(message.sender);
-      out->U64(message.send_cycle);
-      out->U64(message.seq);
-      protocol.EncodeMessage(*message.payload, out, pool);
-    }
-  }
-  out->Sentinel();
-}
-
-void DeliveryQueue::LoadState(const CycleProtocol& protocol,
-                              CheckpointReader* in,
-                              const ProfileTable& profiles) {
-  next_seq_ = in->U64();
-  in->Get(&stats_);
-  due_.clear();
+void DeliveryQueue::FinishLoad() {
   in_flight_ = 0;
-  const std::uint64_t num_buckets = in->Count(16);
-  std::uint64_t prev_due = 0;
-  for (std::uint64_t b = 0; b < num_buckets; ++b) {
-    const std::uint64_t due_cycle = in->U64();
-    if (b > 0 && due_cycle <= prev_due) {
-      throw CheckpointError(
-          "corrupt checkpoint: delivery due cycles out of order");
-    }
-    prev_due = due_cycle;
-    const std::uint64_t num_messages = in->Count(20);
-    std::vector<InFlight>& bucket = due_[due_cycle];
-    bucket.reserve(static_cast<std::size_t>(num_messages));
-    for (std::uint64_t m = 0; m < num_messages; ++m) {
-      InFlight message;
-      message.sender = in->U32();
-      message.send_cycle = in->U64();
-      message.due_cycle = due_cycle;
-      message.seq = in->U64();
+  for (auto& [due_cycle, bucket] : due_) {
+    for (InFlight& message : bucket) {
       if (message.seq >= next_seq_ || message.send_cycle > due_cycle) {
         throw CheckpointError(
             "corrupt checkpoint: in-flight message with inconsistent "
             "sequence number or cycles");
       }
-      message.payload = protocol.DecodeMessage(in, profiles);
-      bucket.push_back(std::move(message));
+      message.due_cycle = due_cycle;
       ++in_flight_;
     }
   }
-  in->Sentinel("delivery queue");
 }
 
 }  // namespace p3q

@@ -180,6 +180,15 @@ class DeliveryQueue {
     std::uint64_t due_cycle = 0;
     std::uint64_t seq = 0;  ///< global fold order; monotone
     std::unique_ptr<DeliveryMessage> payload;
+
+    /// The checkpoint field list; due_cycle is the key of its bucket.
+    template <typename F, typename... S>
+    static void Fields(F&& f, S&... s) {
+      f(s.sender...);
+      f(s.send_cycle...);
+      f(s.seq...);
+      f(s.payload...);
+    }
   };
 
   /// Plan-phase enqueue from `shard`'s thread.
@@ -211,16 +220,22 @@ class DeliveryQueue {
   /// at TakeDue. Null detaches. Set through Engine::SetTracer.
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Serializes the between-cycle state — the seq counter, the stats, and
-  /// every in-flight message (payloads encoded by `protocol`). Only valid
-  /// at a cycle barrier: the per-shard pending lists must be empty.
-  void SaveState(const CycleProtocol& protocol, CheckpointWriter* out,
-                 ProfilePool* pool) const;
+  /// The checkpointed between-cycle state — the seq counter, the stats, and
+  /// every in-flight message (payloads encoded by the protocol the engine
+  /// installs on the writer). Only valid at a cycle barrier: the per-shard
+  /// pending lists must be empty.
+  static constexpr const char* kCheckpointSection = "delivery queue";
+  template <typename F, typename... S>
+  static void Fields(F&& f, S&... s) {
+    f(s.next_seq_...);
+    f(s.stats_...);
+    f(s.due_...);
+  }
 
-  /// Restores state written by SaveState, replacing any current contents.
-  /// Throws CheckpointError on malformed input.
-  void LoadState(const CycleProtocol& protocol, CheckpointReader* in,
-                 const ProfileTable& profiles);
+  /// Checkpoint load hook: stamps each message with its bucket's due cycle,
+  /// recounts the queue depth, and rejects a message whose sequence number
+  /// or cycles contradict the queue.
+  void FinishLoad();
 
  private:
   std::array<std::vector<InFlight>, kEngineShards> pending_;
@@ -230,6 +245,11 @@ class DeliveryQueue {
   std::size_t in_flight_ = 0;
   DeliveryStats stats_;
   Tracer* tracer_ = nullptr;
+};
+
+template <>
+struct CheckpointTraits<DeliveryQueue::InFlight> {
+  static constexpr const char* kNoun = "delivery queue";
 };
 
 }  // namespace p3q

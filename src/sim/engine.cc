@@ -123,15 +123,15 @@ class PlanWorkerPool {
   bool stop_ = false;
 };
 
-void CycleProtocol::EncodeMessage(const DeliveryMessage&, CheckpointWriter*,
-                                  ProfilePool*) const {
+void CycleProtocol::EncodeMessage(const DeliveryMessage&,
+                                  CheckpointWriter*) const {
   throw CheckpointError(
       "protocol cannot encode delivery messages (EncodeMessage not "
       "overridden)");
 }
 
 std::unique_ptr<DeliveryMessage> CycleProtocol::DecodeMessage(
-    CheckpointReader*, const ProfileTable&) const {
+    CheckpointReader*) const {
   throw CheckpointError(
       "protocol cannot decode delivery messages (DecodeMessage not "
       "overridden)");
@@ -350,19 +350,20 @@ void Engine::RunOneCycle() {
   ++cycle_;
 }
 
-void Engine::SaveState(CheckpointWriter* out, ProfilePool* pool) const {
+void Engine::SaveState(CheckpointWriter* out) const {
   out->U64(seed_);
   out->U64(cycle_);
   out->U64(queues_.size());
   for (std::size_t p = 0; p < queues_.size(); ++p) {
-    queues_[p]->SaveState(*protocols_[p], out, pool);
+    out->set_messages(protocols_[p]);
+    out->Put(*queues_[p]);
   }
+  out->set_messages(nullptr);
   out->Sentinel();
 }
 
-void Engine::LoadState(CheckpointReader* in, const ProfileTable& profiles) {
-  const std::uint64_t seed = in->U64();
-  if (seed != seed_) {
+void Engine::LoadState(CheckpointReader* in) {
+  if (in->U64() != seed_) {
     throw CheckpointError(
         "checkpoint engine seed does not match this run (different master "
         "seed or engine construction order)");
@@ -376,8 +377,10 @@ void Engine::LoadState(CheckpointReader* in, const ProfileTable& profiles) {
         std::to_string(queues_.size()));
   }
   for (std::size_t p = 0; p < queues_.size(); ++p) {
-    queues_[p]->LoadState(*protocols_[p], in, profiles);
+    in->set_messages(protocols_[p]);
+    in->Get(queues_[p].get());
   }
+  in->set_messages(nullptr);
   in->Sentinel("engine");
 }
 

@@ -70,8 +70,8 @@ class PhaseProfiler;     // wall-clock phase profiling (obs/profiler.h)
 struct PhaseBreakdown;   // one engine's profile slot (obs/profiler.h)
 class CheckpointWriter;  // snapshot byte sink (sim/checkpoint.h)
 class CheckpointReader;  // snapshot byte source (sim/checkpoint.h)
-class ProfilePool;       // profile interning on save (sim/checkpoint.h)
-class ProfileTable;      // profile resolution on load (sim/checkpoint.h)
+template <typename T>
+struct CheckpointTraits;  // codec facts a field list cannot say
 
 /// Base of every self-contained planned effect a protocol sends through the
 /// delivery layer; protocols derive their own payload types and downcast in
@@ -187,12 +187,12 @@ class CycleProtocol {
   /// codec hooks; the defaults throw CheckpointError (a protocol that never
   /// sends is never asked to encode).
   virtual void EncodeMessage(const DeliveryMessage& message,
-                             CheckpointWriter* out, ProfilePool* pool) const;
+                             CheckpointWriter* out) const;
 
   /// Reconstructs a payload previously written by EncodeMessage. Must throw
   /// CheckpointError (never crash) on malformed input.
   virtual std::unique_ptr<DeliveryMessage> DecodeMessage(
-      CheckpointReader* in, const ProfileTable& profiles) const;
+      CheckpointReader* in) const;
 };
 
 /// Deterministic sharded cycle scheduler.
@@ -267,12 +267,12 @@ class Engine {
   /// seed echo, and every protocol's delivery queue (payloads encoded by
   /// the owning protocol). Only valid at a cycle barrier, where no
   /// per-shard pending state exists.
-  void SaveState(CheckpointWriter* out, ProfilePool* pool) const;
+  void SaveState(CheckpointWriter* out) const;
 
   /// Restores state written by SaveState. The engine must already have the
   /// same protocols registered (and the same seed) as the saving engine;
   /// mismatches throw CheckpointError.
-  void LoadState(CheckpointReader* in, const ProfileTable& profiles);
+  void LoadState(CheckpointReader* in);
 
   /// Shard of `node` in a population of `num_nodes`: contiguous ranges, so
   /// ascending node order equals (shard, node-within-shard) order.

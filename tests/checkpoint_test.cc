@@ -16,12 +16,14 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/eager_protocol.h"
 #include "core/p3q_system.h"
 #include "obs/trace.h"
 #include "scenario/registry.h"
 #include "scenario/report.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
+#include "serving/lifecycle.h"
 #include "sim/checkpoint.h"
 #include "sim/delivery.h"
 #include "test_util.h"
@@ -106,10 +108,10 @@ TEST(CheckpointCodecTest, RngStateRoundTrip) {
   Rng a(12345);
   for (int i = 0; i < 17; ++i) a.NextUint64(1000);
   CheckpointWriter w;
-  WriteRngState(&w, a);
+  w.Put(a);
   Rng b(999);  // different seed; state restore must overwrite it fully
   CheckpointReader r(w.buffer().data(), w.buffer().size());
-  ReadRngState(&r, &b);
+  r.Get(&b);
   r.ExpectEnd();
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(a.NextUint64(1u << 30), b.NextUint64(1u << 30)) << i;
@@ -212,6 +214,88 @@ TEST(CheckpointSystemTest, SaveLoadSaveIsByteIdentical) {
   env.system->SaveCheckpoint(&a);
   fresh.system->SaveCheckpoint(&b);
   EXPECT_EQ(a.buffer(), b.buffer());
+}
+
+// ---------------------------------------------------------------------------
+// Format pins for state the v1 golden never reaches. The golden sits in a
+// lazy-only, zero-latency phase, so eager tasks, eager queries with their
+// NRA state, in-flight messages of both protocols and open serving queries
+// are pinned here by the CRC-32 and size of their encoding. These constants
+// only change with the checkpoint format (which bumps kCheckpointVersion) or
+// with the simulated behaviour itself.
+// ---------------------------------------------------------------------------
+
+struct Pin {
+  std::uint32_t crc;
+  std::size_t size;
+};
+
+Pin PinOf(const CheckpointWriter& w) {
+  return Pin{Crc32(w.buffer().data(), w.buffer().size()), w.buffer().size()};
+}
+
+/// 80 users under fixed:2 latency: lazy gossip, then three queries and a
+/// few eager cycles, so both protocols have messages in flight.
+void RunInFlightWorkload(test::TestSystem* env, int threads) {
+  P3QSystem& system = *env->system;
+  system.SetThreads(threads);
+  system.SetLatency(LatencySpec{LatencyKind::kFixed, /*fixed=*/2});
+  system.RunLazyCycles(8);
+  const std::size_t lazy_in_flight = system.MessagesInFlight();
+  for (UserId u : {3u, 17u, 42u}) system.IssueQuery(env->QueryOf(u));
+  system.RunEagerCycles(4);
+  ASSERT_GT(lazy_in_flight, 0u);
+  ASSERT_GT(system.MessagesInFlight(), lazy_in_flight);
+  std::size_t tasks = 0;
+  for (UserId u = 0; u < system.NumUsers(); ++u) {
+    tasks += system.node(u).tasks().size();
+  }
+  ASSERT_GT(tasks, 0u);
+  for (std::uint64_t id : system.eager().AllQueryIds()) {
+    ASSERT_GT(system.query(id).nra().num_lists(), 0u);
+  }
+}
+
+TEST(CheckpointPinTest, InFlightSystemBytesArePinned) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    test::TestSystem env({.users = 80, .seed_ideal = false});
+    RunInFlightWorkload(&env, threads);
+    CheckpointWriter w;
+    env.system->SaveCheckpoint(&w);
+    const Pin pin = PinOf(w);
+    EXPECT_EQ(pin.crc, 2213440160u);
+    EXPECT_EQ(pin.size, 250793u);
+  }
+}
+
+TEST(CheckpointPinTest, OpenServingQueriesArePinned) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    test::TestSystem env({.users = 80, .seed_ideal = false});
+    P3QSystem& system = *env.system;
+    system.SetThreads(threads);
+    system.SetLatency(LatencySpec{LatencyKind::kFixed, /*fixed=*/2});
+    system.RunLazyCycles(8);
+    ServingTracker tracker(/*slo_cycles=*/6, /*recall_target=*/1.0);
+    QueryLatencyStats stats;
+    std::uint64_t cycle = 0;
+    for (UserId u : {5u, 11u, 23u, 31u, 64u}) {
+      const std::uint64_t id = system.IssueQuery(env.QueryOf(u));
+      // A reference no early top-k covers keeps the query open.
+      tracker.Track(&system, id, cycle, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+                    &stats);
+      system.RunEagerCycles(1);
+      tracker.Poll(&system, ++cycle, &stats);
+    }
+    ASSERT_GT(tracker.open(), 1u);
+    ASSERT_GT(stats.first_results, 0u);
+    CheckpointWriter w;
+    w.Put(tracker);
+    const Pin pin = PinOf(w);
+    EXPECT_EQ(pin.crc, 2143519905u);
+    EXPECT_EQ(pin.size, 373u);
+  }
 }
 
 // ---------------------------------------------------------------------------
