@@ -10,45 +10,88 @@
 namespace p3q {
 namespace {
 
+/// Ideal-list order: score descending, ties by ascending id.
+bool RankedBefore(const std::pair<UserId, std::uint64_t>& a,
+                  const std::pair<UserId, std::uint64_t>& b) {
+  if (a.second != b.second) return a.second > b.second;
+  return a.first < b.first;
+}
+
 /// Shared kernel: per-user top-s similarity lists from per-user action sets.
 IdealNetworks ComputeFromActions(
     const std::vector<std::span<const ActionKey>>& actions, int network_size,
     SimilarityMetric metric) {
   const std::size_t num_users = actions.size();
 
-  // Inverted index: action -> users having it. Postings end up sorted by
-  // user id because users are appended in id order.
-  std::unordered_map<ActionKey, std::vector<std::uint32_t>> postings;
+  // Inverted index: action -> users having it, as flat postings. Each
+  // distinct action gets a dense id and every user's actions are resolved
+  // to ids once, so the scoring pass below does no hash lookups. Postings
+  // end up sorted by user id because users are appended in id order.
+  std::vector<std::size_t> user_begin(num_users + 1, 0);
   for (std::uint32_t u = 0; u < num_users; ++u) {
-    for (ActionKey a : actions[u]) postings[a].push_back(u);
+    user_begin[u + 1] = user_begin[u] + actions[u].size();
+  }
+  std::vector<std::uint32_t> action_ids;  // per user action, concatenated
+  action_ids.reserve(user_begin[num_users]);
+  std::vector<std::size_t> posting_begin;  // per action id, then the end
+  {
+    std::unordered_map<ActionKey, std::uint32_t> id_of;
+    for (std::uint32_t u = 0; u < num_users; ++u) {
+      for (ActionKey a : actions[u]) {
+        const auto [it, fresh] = id_of.try_emplace(
+            a, static_cast<std::uint32_t>(posting_begin.size()));
+        if (fresh) posting_begin.push_back(0);
+        ++posting_begin[it->second];
+        action_ids.push_back(it->second);
+      }
+    }
+  }
+  std::size_t total = 0;
+  for (std::size_t& begin : posting_begin) {
+    const std::size_t size = begin;
+    begin = total;
+    total += size;
+  }
+  posting_begin.push_back(total);
+  std::vector<std::uint32_t> postings(total);
+  {
+    std::vector<std::size_t> fill(posting_begin.begin(),
+                                  posting_begin.end() - 1);
+    for (std::uint32_t u = 0; u < num_users; ++u) {
+      for (std::size_t k = user_begin[u]; k < user_begin[u + 1]; ++k) {
+        postings[fill[action_ids[k]]++] = u;
+      }
+    }
   }
 
+  const std::size_t s = static_cast<std::size_t>(network_size);
   IdealNetworks ideal(num_users);
   std::vector<std::uint32_t> counts(num_users, 0);
   std::vector<std::uint32_t> touched;
+  std::vector<std::pair<UserId, std::uint64_t>> candidates;
   for (std::uint32_t u = 0; u < num_users; ++u) {
     touched.clear();
-    for (ActionKey a : actions[u]) {
-      for (std::uint32_t v : postings[a]) {
+    for (std::size_t k = user_begin[u]; k < user_begin[u + 1]; ++k) {
+      const std::uint32_t id = action_ids[k];
+      for (std::size_t p = posting_begin[id]; p < posting_begin[id + 1]; ++p) {
+        const std::uint32_t v = postings[p];
         if (v == u) continue;
         if (counts[v]++ == 0) touched.push_back(v);
       }
     }
-    auto& list = ideal[u];
-    list.reserve(touched.size());
+    candidates.clear();
     for (std::uint32_t v : touched) {
       const std::uint64_t score = SimilarityScore(
           metric, counts[v], actions[u].size(), actions[v].size());
-      if (score > 0) list.emplace_back(v, score);
+      if (score > 0) candidates.emplace_back(v, score);
       counts[v] = 0;
     }
-    std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-    if (list.size() > static_cast<std::size_t>(network_size)) {
-      list.resize(static_cast<std::size_t>(network_size));
-    }
+    // A total order (ids are unique), so the top s come out exactly as a
+    // full sort would order them.
+    const auto end = candidates.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min(candidates.size(), s));
+    std::partial_sort(candidates.begin(), end, candidates.end(), RankedBefore);
+    ideal[u].assign(candidates.begin(), end);
   }
   return ideal;
 }
@@ -117,10 +160,7 @@ IdealNetworks ComputeIdealNetworksSampled(const ProfileStore& store,
           metric, sims[k].score, len_u, others[k]->Length());
       if (score > 0) list.emplace_back(others[k]->owner(), score);
     }
-    std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
+    std::sort(list.begin(), list.end(), RankedBefore);
     if (list.size() > static_cast<std::size_t>(network_size)) {
       list.resize(static_cast<std::size_t>(network_size));
     }

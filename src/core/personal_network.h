@@ -6,11 +6,15 @@
 // entries are stored locally (the replicas queries are computed from); the
 // remaining s-c entries are ids+digests only and form the remaining lists of
 // eager mode.
+//
+// Every operation touches only what it changes: an offer finds its rank by
+// binary search and rotates the entry into place, and only the shifted range
+// gets its index slots and replicas fixed up (docs/ARCHITECTURE.md, "The
+// personal network").
 #ifndef P3Q_CORE_PERSONAL_NETWORK_H_
 #define P3Q_CORE_PERSONAL_NETWORK_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "gossip/view.h"
@@ -70,22 +74,28 @@ class PersonalNetwork {
   /// Entries ordered by descending score (ties: ascending user id).
   const std::vector<NetworkEntry>& entries() const { return entries_; }
 
-  bool Contains(UserId user) const { return index_.count(user) > 0; }
+  bool Contains(UserId user) const { return index_.Find(user) != kAbsent; }
 
   /// Entry of `user`, or nullptr.
-  const NetworkEntry* Find(UserId user) const;
+  const NetworkEntry* Find(UserId user) const {
+    const std::uint32_t pos = index_.Find(user);
+    return pos == kAbsent ? nullptr : &entries_[pos];
+  }
 
   /// Version of the digest we hold for `user`; kNoVersion when absent.
   static constexpr std::uint32_t kNoVersion = 0xffffffffu;
-  std::uint32_t KnownVersion(UserId user) const;
+  std::uint32_t KnownVersion(UserId user) const {
+    const NetworkEntry* e = Find(user);
+    return e == nullptr ? kNoVersion : e->digest.version();
+  }
 
   /// Offers a scored candidate. Inserts when the score qualifies for the
-  /// top-s (score must be > 0), refreshes score/digest when the candidate is
-  /// already a neighbour, stores/evicts replicas so that exactly the top-c
-  /// entries hold profiles. `replica` may be null when the caller only has
-  /// the digest; in that case the entry joins without a stored profile even
-  /// if it ranks top-c (the caller should then fetch the profile — see
-  /// EntriesNeedingProfile).
+  /// top-s (score must be > 0; the owner and kInvalidUser never join),
+  /// refreshes score/digest when the candidate is already a neighbour,
+  /// stores/evicts replicas so that exactly the top-c entries hold profiles.
+  /// `replica` may be null when the caller only has the digest; in that case
+  /// the entry joins without a stored profile even if it ranks top-c (the
+  /// caller should then fetch the profile — see EntriesNeedingProfile).
   ConsiderOutcome Consider(UserId user, std::uint64_t score,
                            const DigestInfo& digest, ProfilePtr replica);
 
@@ -108,7 +118,7 @@ class PersonalNetwork {
   /// ageing happens when she initiates).
   void ResetTimestamp(UserId user);
 
-  /// Stored profile replicas (the c highest-scored entries).
+  /// Stored profile replicas (the c highest-scored entries, score order).
   std::vector<ProfilePtr> StoredProfiles() const;
 
   /// Stored replica of `user`, or null.
@@ -128,9 +138,10 @@ class PersonalNetwork {
   std::size_t StoredProfileActions() const;
 
   /// The checkpoint field list (sim/checkpoint.h) and its load hook, which
-  /// re-sorts the entries into canonical order and rebuilds the index.
-  /// Entries past the top-c lose any stored replica (the storage
-  /// invariant).
+  /// re-sorts the entries into canonical order and rebuilds the index (the
+  /// index is derived state and never serialized). Entries past the top-c
+  /// lose any stored replica (the storage invariant); a repeated user or
+  /// more than s entries is rejected.
   template <typename F, typename... S>
   static void Fields(F&& f, S&... s) {
     f(s.entries_...);
@@ -138,14 +149,56 @@ class PersonalNetwork {
   void FinishLoad();
 
  private:
-  void Reindex();
-  void RebalanceStorage();
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+
+  /// user -> rank, as a flat open-addressing table (linear probing,
+  /// backward-shift erase, no tombstones) kept at a load of at most 2/3.
+  /// It doubles as the network fills, so it holds 1.5-3 slots per member,
+  /// and a lookup never chases a node pointer.
+  class RankIndex {
+   public:
+    /// Rank of `user`, or kAbsent.
+    std::uint32_t Find(UserId user) const {
+      if (count_ == 0) return kAbsent;
+      for (std::uint32_t i = Home(user);; i = (i + 1) & mask_) {
+        if (slots_[i].user == kInvalidUser) return kAbsent;
+        if (slots_[i].user == user) return slots_[i].rank;
+      }
+    }
+    /// Sets the rank of `user`, inserting it when absent; returns false when
+    /// it was already present.
+    bool Set(UserId user, std::uint32_t rank);
+    void Erase(UserId user);
+    void Clear();
+
+   private:
+    struct Slot {
+      UserId user = kInvalidUser;
+      std::uint32_t rank = 0;
+    };
+    std::uint32_t Home(UserId user) const {
+      return (user * 0x9e3779b1u) >> shift_;
+    }
+    void Grow();
+
+    std::vector<Slot> slots_;
+    std::uint32_t count_ = 0;
+    std::uint32_t mask_ = 0;
+    int shift_ = 32;
+  };
+
+  /// Moves the entry at rank `from` to the rank the order gives it, then
+  /// fixes the index and the storage invariant over the shifted range.
+  void Reposition(std::size_t from);
+  /// Re-points the index at ranks [first, last) and drops the replicas of
+  /// those past the top-c.
+  void FixRange(std::size_t first, std::size_t last);
 
   UserId self_;
   int s_;
   int c_;
-  std::vector<NetworkEntry> entries_;               // sorted: score desc, id asc
-  std::unordered_map<UserId, std::size_t> index_;   // user -> position
+  std::vector<NetworkEntry> entries_;  // sorted: score desc, id asc
+  RankIndex index_;
 };
 
 }  // namespace p3q

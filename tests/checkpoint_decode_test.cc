@@ -186,6 +186,37 @@ TEST_F(SystemDecodeTest, NetworkEntryReplicaOfAnotherUserRejected) {
   ExpectRejected(w, Load(), "personal-network entry");
 }
 
+/// One personal-network entry for `user` (digest snapshot = pool entry
+/// `user`, no replica).
+void PutNetworkEntry(CheckpointWriter* w, UserId user) {
+  w->U32(user);
+  w->U64(5);  // score
+  w->U32(user);
+  w->U32(user);
+  w->U32(0);  // timestamp
+  w->U32(kNullProfileRef);
+}
+
+TEST_F(SystemDecodeTest, RepeatedNetworkEntryRejected) {
+  CheckpointWriter w;
+  PutSystemHeader(&w);
+  PutNodeHead(&w, 0);
+  w.U64(2);
+  PutNetworkEntry(&w, 1);
+  PutNetworkEntry(&w, 1);
+  ExpectRejected(w, Load(), "repeats entry 1");
+}
+
+TEST_F(SystemDecodeTest, NetworkOverCapacityRejected) {
+  CheckpointWriter w;
+  PutSystemHeader(&w);
+  PutNodeHead(&w, 0);
+  const int entries = env_.config.network_size + 1;
+  w.U64(static_cast<std::uint64_t>(entries));
+  for (int i = 0; i < entries; ++i) PutNetworkEntry(&w, 1 + i % (kUsers - 1));
+  ExpectRejected(w, Load(), "capacity");
+}
+
 TEST_F(SystemDecodeTest, DigestWithoutSnapshotRejected) {
   CheckpointWriter w;
   PutSystemHeader(&w);
