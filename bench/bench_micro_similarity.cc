@@ -2,10 +2,10 @@
 // hottest loop). The "Paper*" pair of benchmarks is what the CI
 // perf-trajectory harness records as pairs/sec: one node's profile scored
 // against a gossip-sized batch of candidates drawn from a delicious-like
-// trace — exactly the shape of a ScreenProposals/PairInfoBatch call. The
-// remaining benchmarks isolate the intersection kernels (block-bitmap
-// word-AND + popcount vs element-at-a-time merge) and the galloping
-// fallback on skewed pairs.
+// trace — exactly the shape of ScreenProposals' KernelPairSimilarityBatch
+// call. The remaining benchmarks isolate the intersection kernels
+// (block-bitmap word-AND + popcount vs element-at-a-time merge) and the
+// galloping fallback on skewed pairs.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -68,7 +68,7 @@ const PaperBatch& SharedPaperBatch() {
 }
 
 /// Scalar baseline: the element-at-a-time reference merge per pair (what
-/// every PairInfo cache miss ran before the batched kernel).
+/// every scored pair ran before the batched kernel).
 void BM_PaperScalarPairs(benchmark::State& state) {
   const PaperBatch& fixture = SharedPaperBatch();
   for (auto _ : state) {

@@ -22,11 +22,6 @@ void RandomView::Init(std::vector<DigestInfo> entries) {
   if (entries_.size() > capacity_) entries_.resize(capacity_);
 }
 
-UserId RandomView::SelectRandomPeer(Rng* rng) const {
-  if (entries_.empty()) return kInvalidUser;
-  return entries_[rng->NextUint64(entries_.size())].user;
-}
-
 std::vector<DigestInfo> RandomView::MakeExchangePayload(
     const DigestInfo& self_digest) const {
   std::vector<DigestInfo> payload = entries_;

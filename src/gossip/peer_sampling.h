@@ -29,9 +29,6 @@ class RandomView {
   /// Replaces the view content (bootstrap).
   void Init(std::vector<DigestInfo> entries);
 
-  /// Uniformly random peer id from the view; kInvalidUser when empty.
-  UserId SelectRandomPeer(Rng* rng) const;
-
   /// The digests this node sends in one exchange: its whole view plus its
   /// own fresh descriptor (standard peer-sampling push so newcomers spread).
   std::vector<DigestInfo> MakeExchangePayload(const DigestInfo& self_digest) const;

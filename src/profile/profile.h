@@ -153,7 +153,7 @@ std::size_t CountCommonActions(std::span<const ActionKey> a,
 
 /// Computes PairSimilarity (profile/score_kernel.h) for two profiles with
 /// the scalar reference merge. Production scoring goes through
-/// KernelPairSimilarity / P3QSystem::PairInfoBatch instead; this stays as
+/// KernelPairSimilarity / KernelPairSimilarityBatch instead; this stays as
 /// the independent implementation the differential tests compare to.
 PairSimilarity ComputePairSimilarity(const Profile& a, const Profile& b);
 

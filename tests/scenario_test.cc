@@ -460,6 +460,35 @@ TEST(ScenarioReportWriter, TimingIsExcludedUnlessRequested) {
   EXPECT_NE(with.find("user_cycles_per_sec"), std::string::npos);
 }
 
+// The timing-gated `memory` block's key set is part of the --timing JSON
+// format (docs/benchmarks.md); a dropped or renamed key must fail here.
+TEST(ScenarioReportWriter, MemoryBlockKeysArePinned) {
+  const ScenarioReport report =
+      RunScenario(MakeScenario("steady-state"), TinyOptions());
+  EXPECT_EQ(ScenarioReportToJson(report).find("\"memory\""),
+            std::string::npos);
+  const std::string json =
+      ScenarioReportToJson(report, /*include_timing=*/true);
+  const std::string marker = "\"memory\": {";
+  const std::size_t begin = json.find(marker);
+  ASSERT_NE(begin, std::string::npos);
+  EXPECT_EQ(json.find(marker, begin + 1), std::string::npos);
+  const std::size_t end = json.find('}', begin);
+  ASSERT_NE(end, std::string::npos);
+  const std::string block = json.substr(begin + marker.size(),
+                                        end - begin - marker.size());
+  std::vector<std::string> keys;
+  for (std::size_t pos = block.find('"'); pos != std::string::npos;
+       pos = block.find('"', block.find('"', pos + 1) + 1)) {
+    keys.push_back(block.substr(pos + 1, block.find('"', pos + 1) - pos - 1));
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "arena_reserved_bytes", "arena_used_bytes",
+                      "arena_slabs", "arena_live_blocks",
+                      "arena_recycled_slabs", "pool_hits", "pool_misses",
+                      "peak_pending_depth", "peak_rss_mb"}));
+}
+
 TEST(ScenarioReportWriter, CsvHasHeaderPhaseAndTotalRows) {
   const ScenarioReport report =
       RunScenario(MakeScenario("steady-state"), TinyOptions());

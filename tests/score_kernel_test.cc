@@ -355,76 +355,81 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// P3QSystem::PairInfoBatch — the lock-striped cache's batched lookup.
+// Orientation and concurrency: the plan phases call the kernels directly,
+// from every worker thread at once.
 // ---------------------------------------------------------------------------
 
-TEST(PairInfoBatchTest, MatchesPerPairPairInfoAndCaches) {
-  test::TestSystem env({.users = 60, .seed_ideal = false});
-  P3QSystem& system = *env.system;
-  const Profile& mine = *system.node(0).profile();
+TEST(ScoreKernelTest, OrientationFollowsArgumentOrder) {
+  const SyntheticTrace trace =
+      GenerateSyntheticTrace(SyntheticConfig::DeliciousLike(40), 7);
+  const ProfileStore store = trace.dataset().BuildProfileStore();
+  const Profile& base = *store.Get(0);
   std::vector<const Profile*> candidates;
-  for (UserId u = 1; u < 40; ++u) {
-    candidates.push_back(system.profile_store().Get(u).get());
-  }
-  const std::vector<PairSimilarity> batched =
-      system.PairInfoBatch(mine, candidates);
-  ASSERT_EQ(batched.size(), candidates.size());
+  for (UserId u = 1; u < 40; ++u) candidates.push_back(store.Get(u).get());
+  std::vector<PairSimilarity> forward(candidates.size());
+  KernelPairSimilarityBatch(base, candidates.data(), candidates.size(),
+                            forward.data());
+  bool saw_asymmetric_counts = false;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const PairSimilarity single = system.PairInfo(mine, *candidates[i]);
-    EXPECT_EQ(batched[i].score, single.score);
-    EXPECT_EQ(batched[i].common_items, single.common_items);
-    EXPECT_EQ(batched[i].a_actions_on_common, single.a_actions_on_common);
-    EXPECT_EQ(batched[i].b_actions_on_common, single.b_actions_on_common);
-  }
-  // A second batched lookup is all cache hits and must return the same.
-  const std::vector<PairSimilarity> again =
-      system.PairInfoBatch(mine, candidates);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    EXPECT_EQ(again[i].score, batched[i].score);
-    EXPECT_EQ(again[i].a_actions_on_common, batched[i].a_actions_on_common);
-  }
-}
-
-TEST(PairInfoBatchTest, OrientationFollowsArgumentOrder) {
-  test::TestSystem env({.users = 30, .seed_ideal = false});
-  P3QSystem& system = *env.system;
-  const Profile& a = *system.node(3).profile();
-  const Profile& b = *system.node(7).profile();
-  const PairSimilarity ab = system.PairInfoBatch(a, {&b})[0];
-  const PairSimilarity ba = system.PairInfoBatch(b, {&a})[0];
-  EXPECT_EQ(ab.score, ba.score);
-  EXPECT_EQ(ab.common_items, ba.common_items);
-  EXPECT_EQ(ab.a_actions_on_common, ba.b_actions_on_common);
-  EXPECT_EQ(ab.b_actions_on_common, ba.a_actions_on_common);
-}
-
-TEST(PairInfoBatchTest, ConcurrentBatchesAgree) {
-  test::TestSystem env({.users = 50, .seed_ideal = false});
-  P3QSystem& system = *env.system;
-  std::vector<const Profile*> candidates;
-  for (UserId u = 1; u < 50; ++u) {
-    candidates.push_back(system.profile_store().Get(u).get());
-  }
-  const Profile& mine = *system.node(0).profile();
-  const std::vector<PairSimilarity> expected =
-      system.PairInfoBatch(mine, candidates);
-  for (const int threads : {1, 2, 8}) {
-    std::vector<std::vector<PairSimilarity>> results(threads);
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        results[t] = system.PairInfoBatch(mine, candidates);
-      });
+    const Profile& other = *candidates[i];
+    const Profile* const base_ptr = &base;
+    PairSimilarity batched_back;
+    KernelPairSimilarityBatch(other, &base_ptr, 1, &batched_back);
+    for (const PairSimilarity& back :
+         {KernelPairSimilarity(other, base), batched_back}) {
+      EXPECT_EQ(forward[i].score, back.score) << i;
+      EXPECT_EQ(forward[i].common_items, back.common_items) << i;
+      EXPECT_EQ(forward[i].a_actions_on_common, back.b_actions_on_common)
+          << i;
+      EXPECT_EQ(forward[i].b_actions_on_common, back.a_actions_on_common)
+          << i;
     }
-    for (std::thread& w : workers) w.join();
-    for (const auto& result : results) {
-      ASSERT_EQ(result.size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(result[i].score, expected[i].score);
-        EXPECT_EQ(result[i].a_actions_on_common,
-                  expected[i].a_actions_on_common);
+    EXPECT_EQ(forward[i].score, base.SimilarityWith(other)) << i;
+    saw_asymmetric_counts |=
+        forward[i].a_actions_on_common != forward[i].b_actions_on_common;
+  }
+  // The swap checks above are vacuous unless some pair counts differ.
+  EXPECT_TRUE(saw_asymmetric_counts);
+}
+
+TEST(ScoreKernelTest, ConcurrentBatchesAgreeOnEveryLane) {
+  const SyntheticTrace trace =
+      GenerateSyntheticTrace(SyntheticConfig::DeliciousLike(50), 11);
+  const ProfileStore store = trace.dataset().BuildProfileStore();
+  const Profile& base = *store.Get(0);
+  std::vector<const Profile*> candidates;
+  for (UserId u = 1; u < 50; ++u) candidates.push_back(store.Get(u).get());
+  std::vector<PairSimilarity> expected;
+  for (const Profile* candidate : candidates) {
+    expected.push_back(ComputePairSimilarity(base, *candidate));
+  }
+  for (const SimdLane lane : UsableSimdLanes()) {
+    const SimdLane previous = SetSimdLane(lane);
+    for (const int threads : {1, 2, 8}) {
+      std::vector<std::vector<PairSimilarity>> results(
+          threads, std::vector<PairSimilarity>(candidates.size()));
+      std::vector<std::thread> workers;
+      for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+          KernelPairSimilarityBatch(base, candidates.data(),
+                                    candidates.size(), results[t].data());
+        });
+      }
+      for (std::thread& w : workers) w.join();
+      for (const auto& result : results) {
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(result[i].score, expected[i].score)
+              << SimdLaneName(lane) << " x" << threads << " #" << i;
+          EXPECT_EQ(result[i].a_actions_on_common,
+                    expected[i].a_actions_on_common)
+              << SimdLaneName(lane) << " x" << threads << " #" << i;
+          EXPECT_EQ(result[i].b_actions_on_common,
+                    expected[i].b_actions_on_common)
+              << SimdLaneName(lane) << " x" << threads << " #" << i;
+        }
       }
     }
+    SetSimdLane(previous);
   }
 }
 

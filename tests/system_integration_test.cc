@@ -94,21 +94,6 @@ TEST(SystemTest, DifferentSeedsProduceDifferentRuns) {
   EXPECT_NE(total(1), total(2));
 }
 
-TEST(SystemTest, PairInfoIsSymmetricallyCachedAndOriented) {
-  const SyntheticTrace trace = test::SmallTrace(40, 7);
-  P3QConfig config;
-  P3QSystem system(trace.dataset(), config, {}, 9);
-  const Profile& a = *system.profile_store().Get(3);
-  const Profile& b = *system.profile_store().Get(17);
-  const PairSimilarity ab = system.PairInfo(a, b);
-  const PairSimilarity ba = system.PairInfo(b, a);
-  EXPECT_EQ(ab.score, ba.score);
-  EXPECT_EQ(ab.common_items, ba.common_items);
-  EXPECT_EQ(ab.a_actions_on_common, ba.b_actions_on_common);
-  EXPECT_EQ(ab.b_actions_on_common, ba.a_actions_on_common);
-  EXPECT_EQ(ab.score, a.SimilarityWith(b));
-}
-
 TEST(SystemTest, ColdStartToAccurateQueryPipeline) {
   // The paper's full story on a small scale: converge lazily, query eagerly,
   // reach the exact personalized result.

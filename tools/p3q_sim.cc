@@ -806,9 +806,7 @@ int RunScenarioMode(const Options& opt,
               << " MiB used/reserved in " << m.arena_slabs << " slabs ("
               << m.arena_live_blocks << " snapshots, "
               << m.arena_recycled_slabs << " recycled); pool "
-              << m.pool_hits << " hits / " << m.pool_misses
-              << " misses; pair cache " << m.pair_cache_entries
-              << " entries, " << m.pair_cache_evictions << " evicted\n";
+              << m.pool_hits << " hits / " << m.pool_misses << " misses\n";
   }
 
   if (!opt.json_path.empty() &&
