@@ -94,6 +94,28 @@ TEST(SystemTest, DifferentSeedsProduceDifferentRuns) {
   EXPECT_NE(total(1), total(2));
 }
 
+TEST(SystemTest, ScoreBetweenIsSymmetricAndFollowsTheMetric) {
+  const SyntheticTrace trace = test::SmallTrace(40, 7);
+  for (const SimilarityMetric metric :
+       {SimilarityMetric::kCommonActions, SimilarityMetric::kJaccard,
+        SimilarityMetric::kCosine, SimilarityMetric::kOverlap}) {
+    P3QConfig config;
+    config.similarity = metric;
+    P3QSystem system(trace.dataset(), config, {}, 9);
+    const Profile& a = *system.profile_store().Get(3);
+    bool saw_overlap = false;
+    for (UserId u = 0; u < 40; ++u) {
+      const Profile& b = *system.profile_store().Get(u);
+      const std::uint64_t ab = system.ScoreBetween(a, b);
+      EXPECT_EQ(ab, system.ScoreBetween(b, a)) << u;
+      EXPECT_EQ(ab, SimilarityScore(metric, a, b)) << u;
+      saw_overlap |= u != 3 && ab > 0;
+    }
+    // The checks above are vacuous if every score is zero.
+    EXPECT_TRUE(saw_overlap);
+  }
+}
+
 TEST(SystemTest, ColdStartToAccurateQueryPipeline) {
   // The paper's full story on a small scale: converge lazily, query eagerly,
   // reach the exact personalized result.
